@@ -6,6 +6,7 @@
 //! Updates never touch these fragments — they go to delta structures
 //! (see [`crate::table`]).
 
+use std::ops::Range;
 use x100_vector::{ScalarType, StrVec, Value, Vector};
 
 /// Typed storage for one column fragment, at table scale.
@@ -126,6 +127,98 @@ impl ColumnData {
                     v.scalar_type()
                 )
             }
+        }
+    }
+
+    /// Append `src`'s values in each of `runs`, in order, without
+    /// materializing them as [`Value`]s — the typed copy reorganization
+    /// uses to merge live fragment rows (codes stay codes).
+    ///
+    /// # Panics
+    /// Panics on type mismatch or a run beyond `src`.
+    pub(crate) fn extend_runs(&mut self, src: &ColumnData, runs: &[Range<usize>]) {
+        macro_rules! copy {
+            ($dst:expr, $src:expr) => {
+                for r in runs {
+                    $dst.extend_from_slice(&$src[r.clone()]);
+                }
+            };
+        }
+        match (self, src) {
+            (ColumnData::I8(d), ColumnData::I8(s)) => copy!(d, s),
+            (ColumnData::I16(d), ColumnData::I16(s)) => copy!(d, s),
+            (ColumnData::I32(d), ColumnData::I32(s)) => copy!(d, s),
+            (ColumnData::I64(d), ColumnData::I64(s)) => copy!(d, s),
+            (ColumnData::U8(d), ColumnData::U8(s)) => copy!(d, s),
+            (ColumnData::U16(d), ColumnData::U16(s)) => copy!(d, s),
+            (ColumnData::U32(d), ColumnData::U32(s)) => copy!(d, s),
+            (ColumnData::U64(d), ColumnData::U64(s)) => copy!(d, s),
+            (ColumnData::F64(d), ColumnData::F64(s)) => copy!(d, s),
+            (ColumnData::Str(d), ColumnData::Str(s)) => {
+                for r in runs {
+                    for i in r.clone() {
+                        d.push(s.get(i));
+                    }
+                }
+            }
+            (this, src) => panic!(
+                "extend_runs type mismatch: column {:?}, source {:?}",
+                this.scalar_type(),
+                src.scalar_type()
+            ),
+        }
+    }
+
+    /// Append all of `src`'s values (typed; see [`ColumnData::extend_runs`]).
+    pub(crate) fn extend_from(&mut self, src: &ColumnData) {
+        self.extend_runs(src, std::slice::from_ref(&(0..src.len())));
+    }
+
+    /// Keep only the rows inside `runs` (ascending and disjoint),
+    /// compacting in place: rows before the first gap never move.
+    pub(crate) fn retain_runs(&mut self, runs: &[Range<usize>]) {
+        fn compact<T: Copy>(v: &mut Vec<T>, runs: &[Range<usize>]) {
+            let mut at = 0;
+            for r in runs {
+                if r.start != at {
+                    v.copy_within(r.clone(), at);
+                }
+                at += r.len();
+            }
+            v.truncate(at);
+        }
+        match self {
+            ColumnData::I8(v) => compact(v, runs),
+            ColumnData::I16(v) => compact(v, runs),
+            ColumnData::I32(v) => compact(v, runs),
+            ColumnData::I64(v) => compact(v, runs),
+            ColumnData::U8(v) => compact(v, runs),
+            ColumnData::U16(v) => compact(v, runs),
+            ColumnData::U32(v) => compact(v, runs),
+            ColumnData::U64(v) => compact(v, runs),
+            ColumnData::F64(v) => compact(v, runs),
+            ColumnData::Str(_) => {
+                let mut kept = ColumnData::new(ScalarType::Str);
+                kept.extend_runs(self, runs);
+                *self = kept;
+            }
+        }
+    }
+
+    /// The values at positions `idx`, in order, as a new column of the
+    /// same type (a typed positional gather at table scale).
+    pub(crate) fn gather(&self, idx: impl Iterator<Item = usize>) -> ColumnData {
+        match self {
+            ColumnData::I8(v) => ColumnData::I8(idx.map(|i| v[i]).collect()),
+            ColumnData::I16(v) => ColumnData::I16(idx.map(|i| v[i]).collect()),
+            ColumnData::I32(v) => ColumnData::I32(idx.map(|i| v[i]).collect()),
+            ColumnData::I64(v) => ColumnData::I64(idx.map(|i| v[i]).collect()),
+            ColumnData::U8(v) => ColumnData::U8(idx.map(|i| v[i]).collect()),
+            ColumnData::U16(v) => ColumnData::U16(idx.map(|i| v[i]).collect()),
+            ColumnData::U32(v) => ColumnData::U32(idx.map(|i| v[i]).collect()),
+            ColumnData::U64(v) => ColumnData::U64(idx.map(|i| v[i]).collect()),
+            ColumnData::F64(v) => ColumnData::F64(idx.map(|i| v[i]).collect()),
+            ColumnData::Str(v) => ColumnData::Str(idx.map(|i| v.get(i)).collect()),
         }
     }
 

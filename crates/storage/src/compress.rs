@@ -12,6 +12,9 @@
 //! vectors.
 
 use crate::column::ColumnData;
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::ops::Range;
 use x100_vector::compress as k;
 use x100_vector::{ScalarType, StrVec, Value, Vector};
 
@@ -173,6 +176,37 @@ pub enum PdictValues {
 }
 
 impl PdictValues {
+    fn len(&self) -> usize {
+        match self {
+            PdictValues::I32(v) => v.len(),
+            PdictValues::I64(v) => v.len(),
+            PdictValues::F64(v) => v.len(),
+            PdictValues::Str(v) => v.len(),
+        }
+    }
+
+    /// Code lane in bits: one byte up to 256 entries, else two.
+    fn lane(&self) -> u32 {
+        if self.len() <= 256 {
+            8
+        } else {
+            16
+        }
+    }
+
+    /// Bit-identical dictionaries (floats compare by representation).
+    fn same_as(&self, other: &PdictValues) -> bool {
+        match (self, other) {
+            (PdictValues::I32(a), PdictValues::I32(b)) => a == b,
+            (PdictValues::I64(a), PdictValues::I64(b)) => a == b,
+            (PdictValues::F64(a), PdictValues::F64(b)) => {
+                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+            }
+            (PdictValues::Str(a), PdictValues::Str(b)) => a == b,
+            _ => false,
+        }
+    }
+
     fn byte_size(&self) -> usize {
         match self {
             PdictValues::I32(v) => v.len() * 4,
@@ -1560,6 +1594,23 @@ fn window_exceptions(exc_pos: &[u32], start: usize, n: usize) -> u64 {
     (hi - lo) as u64
 }
 
+/// Row range of chunk `ci` in a column of `rows` rows.
+fn chunk_range(rows: usize, ci: usize) -> Range<usize> {
+    ci * CHUNK_ROWS..((ci + 1) * CHUNK_ROWS).min(rows)
+}
+
+/// Leading chunks of a new fragment of `rows` rows that are identical
+/// to those of an old fragment of `old_rows` rows, when the first
+/// `same_rows` rows of both agree: every whole chunk inside the common
+/// prefix, plus a partial last chunk only if nothing changed at all.
+fn kept_chunks(same_rows: usize, old_rows: usize, rows: usize) -> usize {
+    if same_rows == old_rows && old_rows == rows {
+        rows.div_ceil(CHUNK_ROWS)
+    } else {
+        same_rows / CHUNK_ROWS
+    }
+}
+
 /// Compress `data` in a specific format, or `None` when the format does
 /// not apply to this column (wrong type, unsorted for PFOR-DELTA,
 /// cardinality too high for PDICT). `Raw` always yields `None`.
@@ -1567,33 +1618,51 @@ pub fn compress_column_as(data: &ColumnData, format: ChunkFormat) -> Option<Comp
     if data.is_empty() {
         return None;
     }
-    let (chunks, dict, dict_lane) = match format {
-        ChunkFormat::Raw => return None,
-        ChunkFormat::Pfor => (pfor_chunks(data)?, None, 0),
-        ChunkFormat::PforDelta => (pfordelta_chunks(data)?, None, 0),
-        ChunkFormat::Pdict => {
-            let (chunks, dict, lane) = pdict_chunks(data)?;
-            (chunks, Some(dict), lane)
+    let n = data.len().div_ceil(CHUNK_ROWS);
+    match format {
+        ChunkFormat::Raw => None,
+        ChunkFormat::Pfor | ChunkFormat::PforDelta => {
+            let chunks = (0..n)
+                .map(|ci| frame_chunk(data, format, ci))
+                .collect::<Option<Vec<_>>>()?;
+            Some(CompressedColumn::assemble(format, data, chunks, None))
         }
-    };
-    let mut chunk_offsets = Vec::with_capacity(chunks.len());
-    let mut off = 0u64;
-    for c in &chunks {
-        chunk_offsets.push(off);
-        off += c.byte_size() as u64;
+        ChunkFormat::Pdict => {
+            let dict = pdict_values(data)?;
+            let chunks = (0..n).map(|ci| pdict_chunk(data, &dict, ci)).collect();
+            Some(CompressedColumn::assemble(format, data, chunks, Some(dict)))
+        }
     }
-    let compressed_bytes = off + dict.as_ref().map_or(0, |d| d.byte_size() as u64);
-    Some(CompressedColumn {
-        format,
-        physical: data.scalar_type(),
-        rows: data.len(),
-        chunks,
-        chunk_offsets,
-        dict,
-        dict_lane,
-        raw_bytes: data.byte_size() as u64,
-        compressed_bytes,
-    })
+}
+
+impl CompressedColumn {
+    /// Wrap encoded chunks (and the PDICT dictionary) as a column of
+    /// `data`, computing the chunk offsets and byte accounting.
+    fn assemble(
+        format: ChunkFormat,
+        data: &ColumnData,
+        chunks: Vec<CompressedChunk>,
+        dict: Option<PdictValues>,
+    ) -> CompressedColumn {
+        let mut chunk_offsets = Vec::with_capacity(chunks.len());
+        let mut off = 0u64;
+        for c in &chunks {
+            chunk_offsets.push(off);
+            off += c.byte_size() as u64;
+        }
+        let compressed_bytes = off + dict.as_ref().map_or(0, |d| d.byte_size() as u64);
+        CompressedColumn {
+            format,
+            physical: data.scalar_type(),
+            rows: data.len(),
+            chunks,
+            chunk_offsets,
+            dict_lane: dict.as_ref().map_or(0, PdictValues::lane),
+            dict,
+            raw_bytes: data.byte_size() as u64,
+            compressed_bytes,
+        }
+    }
 }
 
 /// The per-column format chooser: samples sort order and cardinality,
@@ -1601,32 +1670,220 @@ pub fn compress_column_as(data: &ColumnData, format: ChunkFormat) -> Option<Comp
 /// result — unless even the winner saves less than 10% of the raw
 /// bytes, in which case the column stays raw (`None`).
 pub fn choose_and_compress(data: &ColumnData) -> Option<CompressedColumn> {
-    let mut candidates: Vec<ChunkFormat> = Vec::new();
-    match data {
-        ColumnData::Str(_) => candidates.push(ChunkFormat::Pdict),
-        ColumnData::F64(_) => {
-            candidates.push(ChunkFormat::Pfor);
-            candidates.push(ChunkFormat::Pdict);
+    sweep(data, is_sorted(data), &Prior::default()).compressed
+}
+
+/// What a chooser sweep learned about a fragment beyond its verdict.
+/// A column keeps it so that the sweep after its next reorganization
+/// encodes only the chunks that changed.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SweepMemo {
+    /// Per-chunk encoded sizes (headers included) under each frame
+    /// format that applied (PFOR, PFOR-DELTA). A PDICT chunk's size
+    /// follows from its row count and lane, so PDICT needs none.
+    frame_sizes: Vec<(ChunkFormat, Vec<u32>)>,
+    /// Lower bound on the fragment's distinct values: exact when the
+    /// PDICT dictionary fit its cap, else what the cardinality check
+    /// saw before it stopped. `None` when PDICT does not apply.
+    distinct: Option<usize>,
+}
+
+impl SweepMemo {
+    fn frame_sizes(&self, format: ChunkFormat) -> Option<&[u32]> {
+        self.frame_sizes
+            .iter()
+            .find(|(f, _)| *f == format)
+            .map(|(_, s)| s.as_slice())
+    }
+}
+
+/// The chooser's knowledge of the previous version of a fragment.
+#[derive(Default)]
+pub(crate) struct Prior<'a> {
+    /// The memo of the sweep over the previous version.
+    pub(crate) memo: Option<&'a SweepMemo>,
+    /// The previous version's compressed chunks.
+    pub(crate) old: Option<&'a CompressedColumn>,
+    /// Rows of the previous version.
+    pub(crate) old_rows: usize,
+    /// Leading rows that are identical in both versions.
+    pub(crate) same_rows: usize,
+    /// Rows removed from the previous version: the distinct values can
+    /// have dropped by at most this many.
+    pub(crate) deleted: usize,
+}
+
+/// A chooser verdict and what the sweep learned on the way.
+pub(crate) struct Sweep {
+    /// The winner, or `None` to stay raw.
+    pub(crate) compressed: Option<CompressedColumn>,
+    pub(crate) memo: SweepMemo,
+    /// Chunks encoded by this sweep, over all candidate formats.
+    pub(crate) chunks_encoded: u64,
+}
+
+/// The best candidate so far: a frame format with the chunks it had to
+/// encode (from chunk `first` on), or PDICT with its dictionary.
+enum Candidate {
+    Frames {
+        format: ChunkFormat,
+        first: usize,
+        fresh: Vec<CompressedChunk>,
+    },
+    Pdict(PdictValues),
+}
+
+/// The format chooser, delta-aware. Reaches the verdict of a full sweep
+/// (every applicable format's total size; the smallest wins, earlier
+/// candidates on ties; raw unless it saves 10%) while encoding only
+/// what `prior` cannot vouch for:
+///
+/// * frame formats (PFOR, PFOR-DELTA) encode each chunk on its own, so
+///   the sizes of chunks in the unchanged prefix come from the memo or
+///   the old chunks and only the suffix is encoded;
+/// * PFOR-DELTA applies when `sorted` (the fragment's `ColumnStats`);
+/// * PDICT depends on the whole column's dictionary. Its chunk sizes
+///   follow from the lane, and the memo's distinct count bounds the new
+///   one from below (`distinct_old − deleted`): past the cap, PDICT is
+///   out without a pass. Otherwise the dictionary is rebuilt by an
+///   early-exit distinct pass.
+///
+/// The winner reuses the old chunk bytes of the unchanged prefix when
+/// the old column has the same format (and, for PDICT, dictionary) and
+/// the chunk still passes its checksum, so the result is byte-identical
+/// to [`compress_column_as`] over the whole fragment.
+pub(crate) fn sweep(data: &ColumnData, sorted: bool, prior: &Prior<'_>) -> Sweep {
+    let rows = data.len();
+    let mut memo = SweepMemo::default();
+    let mut encoded = 0u64;
+    if rows == 0 {
+        return Sweep {
+            compressed: None,
+            memo,
+            chunks_encoded: 0,
+        };
+    }
+    let n = rows.div_ceil(CHUNK_ROWS);
+    let kept = kept_chunks(prior.same_rows, prior.old_rows, rows).min(n);
+    // The old chunks of `format`, as far as they are unchanged.
+    let old_of = |format: ChunkFormat| {
+        prior
+            .old
+            .filter(|o| o.format == format)
+            .map(|o| &o.chunks[..kept.min(o.chunks.len())])
+    };
+    let mut best: Option<(u64, Candidate)> = None;
+    let mut consider = |total: u64, c: Candidate| {
+        if !matches!(&best, Some((b, _)) if *b <= total) {
+            best = Some((total, c));
         }
+    };
+
+    let mut frames = Vec::new();
+    match data {
+        ColumnData::Str(_) => {}
+        ColumnData::F64(_) => frames.push(ChunkFormat::Pfor),
         _ => {
-            candidates.push(ChunkFormat::Pfor);
-            if is_sorted(data) {
-                candidates.push(ChunkFormat::PforDelta);
-            }
-            if matches!(data, ColumnData::I32(_) | ColumnData::I64(_)) {
-                candidates.push(ChunkFormat::Pdict);
+            frames.push(ChunkFormat::Pfor);
+            if sorted {
+                frames.push(ChunkFormat::PforDelta);
             }
         }
     }
-    let best = candidates
-        .into_iter()
-        .filter_map(|f| compress_column_as(data, f))
-        .min_by_key(|c| c.compressed_bytes)?;
+    for format in frames {
+        let mut sizes: Vec<u32> = prior
+            .memo
+            .and_then(|m| m.frame_sizes(format))
+            .map(|s| s[..kept.min(s.len())].to_vec())
+            .or_else(|| old_of(format).map(|cs| cs.iter().map(|c| c.byte_size() as u32).collect()))
+            .unwrap_or_default();
+        let first = sizes.len();
+        let fresh: Vec<CompressedChunk> = (first..n)
+            .map(|ci| frame_chunk(data, format, ci).expect("frame format applies to the type"))
+            .collect();
+        encoded += fresh.len() as u64;
+        sizes.extend(fresh.iter().map(|c| c.byte_size() as u32));
+        let total = sizes.iter().map(|&s| s as u64).sum();
+        memo.frame_sizes.push((format, sizes));
+        consider(
+            total,
+            Candidate::Frames {
+                format,
+                first,
+                fresh,
+            },
+        );
+    }
+
+    if let Some(cap) = pdict_cap(data) {
+        let bound = prior
+            .memo
+            .and_then(|m| m.distinct)
+            .map(|d| d.saturating_sub(prior.deleted));
+        if let Some(b) = bound.filter(|&b| b > cap) {
+            memo.distinct = Some(b);
+        } else if let Some(dict) = pdict_values(data) {
+            memo.distinct = Some(dict.len());
+            let code_bytes = dict.lane() as usize / 8;
+            let chunks: usize = (0..n)
+                .map(|ci| HEADER_BYTES + chunk_range(rows, ci).len() * code_bytes)
+                .sum();
+            consider((chunks + dict.byte_size()) as u64, Candidate::Pdict(dict));
+        } else {
+            memo.distinct = Some(cap + 1);
+        }
+    }
+
     // Fall back to raw unless compression saves at least 10%.
-    if best.compressed_bytes * 10 <= best.raw_bytes * 9 {
-        Some(best)
-    } else {
-        None
+    let raw_bytes = data.byte_size() as u64;
+    let winner = best.filter(|(total, _)| total * 10 <= raw_bytes * 9);
+    let compressed = winner.map(|(_, cand)| {
+        // Unchanged leading chunks keep their bytes while they verify.
+        let reuse = |old: Option<&[CompressedChunk]>, ci: usize| {
+            old.and_then(|cs| cs.get(ci))
+                .filter(|c| chunk_checksum(&c.body) == c.header.checksum)
+                .cloned()
+        };
+        let mut fill = |old: Option<&[CompressedChunk]>,
+                        upto: usize,
+                        encode: &dyn Fn(usize) -> CompressedChunk| {
+            (0..upto)
+                .map(|ci| {
+                    reuse(old, ci).unwrap_or_else(|| {
+                        encoded += 1;
+                        encode(ci)
+                    })
+                })
+                .collect::<Vec<_>>()
+        };
+        match cand {
+            Candidate::Frames {
+                format,
+                first,
+                fresh,
+            } => {
+                let mut chunks = fill(old_of(format), first, &|ci| {
+                    frame_chunk(data, format, ci).expect("frame format applies to the type")
+                });
+                chunks.extend(fresh);
+                CompressedColumn::assemble(format, data, chunks, None)
+            }
+            Candidate::Pdict(dict) => {
+                let old = old_of(ChunkFormat::Pdict).filter(|_| {
+                    prior
+                        .old
+                        .and_then(|o| o.dict.as_ref())
+                        .is_some_and(|d| d.same_as(&dict))
+                });
+                let chunks = fill(old, n, &|ci| pdict_chunk(data, &dict, ci));
+                CompressedColumn::assemble(ChunkFormat::Pdict, data, chunks, Some(dict))
+            }
+        }
+    });
+    Sweep {
+        compressed,
+        memo,
+        chunks_encoded: encoded,
     }
 }
 
@@ -1658,75 +1915,60 @@ fn pfor_header(format: ChunkFormat, rows: usize, c: &k::PforChunk) -> ChunkHeade
     }
 }
 
-fn pfor_chunks(data: &ColumnData) -> Option<Vec<CompressedChunk>> {
-    macro_rules! chunked {
-        ($v:expr, $comp:path) => {
-            $v.chunks(CHUNK_ROWS)
-                .map(|s| {
-                    let c = $comp(s);
-                    CompressedChunk {
-                        header: pfor_header(ChunkFormat::Pfor, s.len(), &c),
-                        body: ChunkBody::Pfor(c),
-                    }
-                })
-                .collect()
+/// Encode chunk `ci` of `data` as PFOR, or as PFOR-DELTA — where a
+/// chunk that is not non-decreasing falls back to plain PFOR, its
+/// header self-describing the switch. `None` when the format does not
+/// apply to the type (strings; PFOR-DELTA over `f64`).
+fn frame_chunk(data: &ColumnData, format: ChunkFormat, ci: usize) -> Option<CompressedChunk> {
+    let r = chunk_range(data.len(), ci);
+    fn pfor<T>(s: &[T], comp: fn(&[T]) -> k::PforChunk) -> CompressedChunk {
+        let c = comp(s);
+        CompressedChunk {
+            header: pfor_header(ChunkFormat::Pfor, s.len(), &c),
+            body: ChunkBody::Pfor(c),
+        }
+    }
+    fn delta<T>(
+        s: &[T],
+        comp: fn(&[T]) -> Option<k::PforDeltaChunk>,
+        fallback: fn(&[T]) -> k::PforChunk,
+    ) -> CompressedChunk {
+        match comp(s) {
+            None => pfor(s, fallback),
+            Some(c) => CompressedChunk {
+                header: ChunkHeader {
+                    format: ChunkFormat::PforDelta,
+                    lane: c.lane as u8,
+                    checksum: pfordelta_checksum(&c),
+                    rows: s.len() as u32,
+                    scale: 0,
+                    base: c.base,
+                    payload_bytes: c.payload.len() as u32,
+                    exceptions: c.exc_pos.len() as u32,
+                    sync_points: c.sync.len() as u32,
+                },
+                body: ChunkBody::PforDelta(c),
+            },
+        }
+    }
+    macro_rules! int {
+        ($v:expr, $pfor:path, $delta:path) => {
+            match format {
+                ChunkFormat::PforDelta => delta(&$v[r], $delta, $pfor),
+                _ => pfor(&$v[r], $pfor),
+            }
         };
     }
     Some(match data {
-        ColumnData::I8(v) => chunked!(v, k::compress_pfor_i8_col),
-        ColumnData::I16(v) => chunked!(v, k::compress_pfor_i16_col),
-        ColumnData::I32(v) => chunked!(v, k::compress_pfor_i32_col),
-        ColumnData::I64(v) => chunked!(v, k::compress_pfor_i64_col),
-        ColumnData::U8(v) => chunked!(v, k::compress_pfor_u8_col),
-        ColumnData::U16(v) => chunked!(v, k::compress_pfor_u16_col),
-        ColumnData::U32(v) => chunked!(v, k::compress_pfor_u32_col),
-        ColumnData::U64(v) => chunked!(v, k::compress_pfor_u64_col),
-        ColumnData::F64(v) => chunked!(v, k::compress_pfor_f64_col),
-        ColumnData::Str(_) => return None,
-    })
-}
-
-fn pfordelta_chunks(data: &ColumnData) -> Option<Vec<CompressedChunk>> {
-    macro_rules! chunked {
-        ($v:expr, $comp:path, $pfor:path) => {
-            $v.chunks(CHUNK_ROWS)
-                .map(|s| match $comp(s) {
-                    // A chunk that is not non-decreasing falls back to
-                    // plain PFOR; its header self-describes the switch.
-                    None => {
-                        let c = $pfor(s);
-                        CompressedChunk {
-                            header: pfor_header(ChunkFormat::Pfor, s.len(), &c),
-                            body: ChunkBody::Pfor(c),
-                        }
-                    }
-                    Some(c) => CompressedChunk {
-                        header: ChunkHeader {
-                            format: ChunkFormat::PforDelta,
-                            lane: c.lane as u8,
-                            checksum: pfordelta_checksum(&c),
-                            rows: s.len() as u32,
-                            scale: 0,
-                            base: c.base,
-                            payload_bytes: c.payload.len() as u32,
-                            exceptions: c.exc_pos.len() as u32,
-                            sync_points: c.sync.len() as u32,
-                        },
-                        body: ChunkBody::PforDelta(c),
-                    },
-                })
-                .collect()
-        };
-    }
-    Some(match data {
-        ColumnData::I8(v) => chunked!(v, k::compress_pfordelta_i8_col, k::compress_pfor_i8_col),
-        ColumnData::I16(v) => chunked!(v, k::compress_pfordelta_i16_col, k::compress_pfor_i16_col),
-        ColumnData::I32(v) => chunked!(v, k::compress_pfordelta_i32_col, k::compress_pfor_i32_col),
-        ColumnData::I64(v) => chunked!(v, k::compress_pfordelta_i64_col, k::compress_pfor_i64_col),
-        ColumnData::U8(v) => chunked!(v, k::compress_pfordelta_u8_col, k::compress_pfor_u8_col),
-        ColumnData::U16(v) => chunked!(v, k::compress_pfordelta_u16_col, k::compress_pfor_u16_col),
-        ColumnData::U32(v) => chunked!(v, k::compress_pfordelta_u32_col, k::compress_pfor_u32_col),
-        ColumnData::U64(v) => chunked!(v, k::compress_pfordelta_u64_col, k::compress_pfor_u64_col),
+        ColumnData::I8(v) => int!(v, k::compress_pfor_i8_col, k::compress_pfordelta_i8_col),
+        ColumnData::I16(v) => int!(v, k::compress_pfor_i16_col, k::compress_pfordelta_i16_col),
+        ColumnData::I32(v) => int!(v, k::compress_pfor_i32_col, k::compress_pfordelta_i32_col),
+        ColumnData::I64(v) => int!(v, k::compress_pfor_i64_col, k::compress_pfordelta_i64_col),
+        ColumnData::U8(v) => int!(v, k::compress_pfor_u8_col, k::compress_pfordelta_u8_col),
+        ColumnData::U16(v) => int!(v, k::compress_pfor_u16_col, k::compress_pfordelta_u16_col),
+        ColumnData::U32(v) => int!(v, k::compress_pfor_u32_col, k::compress_pfordelta_u32_col),
+        ColumnData::U64(v) => int!(v, k::compress_pfor_u64_col, k::compress_pfordelta_u64_col),
+        ColumnData::F64(v) if format == ChunkFormat::Pfor => pfor(&v[r], k::compress_pfor_f64_col),
         ColumnData::F64(_) | ColumnData::Str(_) => return None,
     })
 }
@@ -1738,81 +1980,118 @@ const PDICT_NUMERIC_CAP: usize = 4096;
 /// Cardinality cap for PDICT on string columns (2-byte codes).
 const PDICT_STR_CAP: usize = 65536;
 
-fn pdict_chunks(data: &ColumnData) -> Option<(Vec<CompressedChunk>, PdictValues, u32)> {
-    macro_rules! numeric {
-        ($v:expr, $variant:ident, $comp:path) => {{
-            let mut dict: Vec<_> = $v.clone();
-            dict.sort_unstable();
-            dict.dedup();
-            if dict.len() > PDICT_NUMERIC_CAP {
-                return None;
-            }
-            let lane: u32 = if dict.len() <= 256 { 8 } else { 16 };
-            let chunks = $v
-                .chunks(CHUNK_ROWS)
-                .map(|s| {
-                    let payload = $comp(s, &dict, lane).expect("dict covers the column");
-                    CompressedChunk {
-                        header: pdict_header(s.len(), lane, &payload),
-                        body: ChunkBody::Pdict(payload),
-                    }
-                })
-                .collect();
-            Some((chunks, PdictValues::$variant(dict), lane))
-        }};
-    }
+/// PDICT's cardinality cap for `data`'s type, `None` where PDICT does
+/// not apply.
+fn pdict_cap(data: &ColumnData) -> Option<usize> {
     match data {
-        ColumnData::I32(v) => numeric!(v, I32, k::compress_pdict_i32_col),
-        ColumnData::I64(v) => numeric!(v, I64, k::compress_pdict_i64_col),
+        ColumnData::I32(_) | ColumnData::I64(_) | ColumnData::F64(_) => Some(PDICT_NUMERIC_CAP),
+        ColumnData::Str(_) => Some(PDICT_STR_CAP),
+        _ => None,
+    }
+}
+
+/// A multiply-rotate hasher for the chooser's distinct-value sets. The
+/// keys are column values and the sets are dropped after one pass, so
+/// SipHash's flooding resistance buys nothing here but costs time.
+#[derive(Default)]
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in words.by_ref() {
+            let mut b = [0u8; 8];
+            b.copy_from_slice(w);
+            self.write_u64(u64::from_le_bytes(b));
+        }
+        let rest = words.remainder();
+        let mut b = [0u8; 8];
+        b[..rest.len()].copy_from_slice(rest);
+        self.write_u64(u64::from_le_bytes(b) ^ ((rest.len() as u64) << 59));
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.write_u64(x as u64);
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(x as u64);
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 29)
+    }
+}
+
+/// The distinct items (unordered), or `None` as soon as more than
+/// `cap` of them turn up.
+fn distinct_capped<T: Hash + Eq>(items: impl Iterator<Item = T>, cap: usize) -> Option<Vec<T>> {
+    let mut seen: HashSet<T, BuildHasherDefault<FoldHasher>> = HashSet::default();
+    for x in items {
+        if seen.insert(x) && seen.len() > cap {
+            return None;
+        }
+    }
+    Some(seen.into_iter().collect())
+}
+
+/// The sorted PDICT dictionary of `data`, or `None` when PDICT does not
+/// apply (type, or more distinct values than its cap). Floats are
+/// distinct by bit pattern and ordered by `total_cmp`.
+fn pdict_values(data: &ColumnData) -> Option<PdictValues> {
+    let cap = pdict_cap(data)?;
+    match data {
+        ColumnData::I32(v) => {
+            let mut d = distinct_capped(v.iter().copied(), cap)?;
+            d.sort_unstable();
+            Some(PdictValues::I32(d))
+        }
+        ColumnData::I64(v) => {
+            let mut d = distinct_capped(v.iter().copied(), cap)?;
+            d.sort_unstable();
+            Some(PdictValues::I64(d))
+        }
         ColumnData::F64(v) => {
-            let mut dict: Vec<f64> = v.clone();
-            dict.sort_unstable_by(|a, b| a.total_cmp(b));
-            dict.dedup_by(|a, b| a.to_bits() == b.to_bits());
-            if dict.len() > PDICT_NUMERIC_CAP {
-                return None;
-            }
-            let lane: u32 = if dict.len() <= 256 { 8 } else { 16 };
-            let chunks = v
-                .chunks(CHUNK_ROWS)
-                .map(|s| {
-                    let payload =
-                        k::compress_pdict_f64_col(s, &dict, lane).expect("dict covers the column");
-                    CompressedChunk {
-                        header: pdict_header(s.len(), lane, &payload),
-                        body: ChunkBody::Pdict(payload),
-                    }
-                })
-                .collect();
-            Some((chunks, PdictValues::F64(dict), lane))
+            let bits = distinct_capped(v.iter().map(|x| x.to_bits()), cap)?;
+            let mut d: Vec<f64> = bits.into_iter().map(f64::from_bits).collect();
+            d.sort_unstable_by(|a, b| a.total_cmp(b));
+            Some(PdictValues::F64(d))
         }
         ColumnData::Str(v) => {
-            let mut sorted: Vec<&str> = v.iter().collect();
-            sorted.sort_unstable();
-            sorted.dedup();
-            if sorted.len() > PDICT_STR_CAP {
-                return None;
-            }
-            let dict: StrVec = sorted.iter().copied().collect();
-            let lane: u32 = if dict.len() <= 256 { 8 } else { 16 };
-            let mut chunks = Vec::new();
-            let mut start = 0usize;
-            while start < v.len() {
-                let n = (v.len() - start).min(CHUNK_ROWS);
-                let mut slice = StrVec::with_capacity(n, 8);
-                for i in start..start + n {
-                    slice.push(v.get(i));
-                }
-                let payload =
-                    k::compress_pdict_str_col(&slice, &dict, lane).expect("dict covers the column");
-                chunks.push(CompressedChunk {
-                    header: pdict_header(n, lane, &payload),
-                    body: ChunkBody::Pdict(payload),
-                });
-                start += n;
-            }
-            Some((chunks, PdictValues::Str(dict), lane))
+            let mut d = distinct_capped((0..v.len()).map(|i| v.get(i)), cap)?;
+            d.sort_unstable();
+            Some(PdictValues::Str(d.into_iter().collect()))
         }
         _ => None,
+    }
+}
+
+/// Encode chunk `ci` of `data` as PDICT codes into `dict`.
+fn pdict_chunk(data: &ColumnData, dict: &PdictValues, ci: usize) -> CompressedChunk {
+    let r = chunk_range(data.len(), ci);
+    let rows = r.len();
+    let lane = dict.lane();
+    let payload = match (data, dict) {
+        (ColumnData::I32(v), PdictValues::I32(d)) => k::compress_pdict_i32_col(&v[r], d, lane),
+        (ColumnData::I64(v), PdictValues::I64(d)) => k::compress_pdict_i64_col(&v[r], d, lane),
+        (ColumnData::F64(v), PdictValues::F64(d)) => k::compress_pdict_f64_col(&v[r], d, lane),
+        (ColumnData::Str(v), PdictValues::Str(d)) => {
+            let mut slice = StrVec::with_capacity(rows, 8);
+            for i in r {
+                slice.push(v.get(i));
+            }
+            k::compress_pdict_str_col(&slice, d, lane)
+        }
+        _ => None,
+    }
+    .expect("dict covers the column");
+    CompressedChunk {
+        header: pdict_header(rows, lane, &payload),
+        body: ChunkBody::Pdict(payload),
     }
 }
 

@@ -9,6 +9,7 @@
 //! ([`crate::table::Table::reorganize`]) and the deltas become empty.
 
 use crate::column::ColumnData;
+use std::ops::Range;
 use x100_vector::{ScalarType, Value};
 
 /// The deletion list: row ids (into the *stable* row id space:
@@ -59,6 +60,26 @@ impl DeleteList {
         let lo = self.ids.partition_point(|&id| id < start);
         let hi = self.ids.partition_point(|&id| id < end);
         out.extend(self.ids[lo..hi].iter().map(|&id| id - start));
+    }
+
+    /// The live row ids of `[start, end)` as maximal runs between
+    /// deleted ids, relative to `start` — the copy plan of a
+    /// reorganization.
+    pub(crate) fn live_runs(&self, start: u32, end: u32) -> Vec<Range<usize>> {
+        let lo = self.ids.partition_point(|&id| id < start);
+        let hi = self.ids.partition_point(|&id| id < end);
+        let mut runs = Vec::with_capacity(hi - lo + 1);
+        let mut at = start;
+        for &id in &self.ids[lo..hi] {
+            if id > at {
+                runs.push((at - start) as usize..(id - start) as usize);
+            }
+            at = id + 1;
+        }
+        if end > at {
+            runs.push((at - start) as usize..(end - start) as usize);
+        }
+        runs
     }
 
     /// Drop all entries (after a reorganize).
@@ -153,6 +174,18 @@ mod tests {
         out.clear();
         dl.deleted_in_range(26, 100, &mut out);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn live_runs_skip_deleted_ids() {
+        let mut dl = DeleteList::default();
+        for id in [0, 3, 4, 9, 12] {
+            dl.delete(id);
+        }
+        assert_eq!(dl.live_runs(0, 10), vec![1..3, 5..9]);
+        assert_eq!(dl.live_runs(10, 14), vec![0..2, 3..4]);
+        assert_eq!(dl.live_runs(5, 9), vec![0..4]);
+        assert!(dl.live_runs(3, 5).is_empty());
     }
 
     #[test]

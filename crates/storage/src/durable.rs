@@ -33,8 +33,7 @@ use crate::columnbm::{retry_with_backoff, FaultSite, FaultState, StorageFaultErr
 use crate::compress::{fold_checksum, scalar_from_tag, scalar_tag, ByteReader, CompressedColumn};
 use crate::delta::{DeleteList, InsertDelta};
 use crate::enumcol::EnumDict;
-use crate::summary::SummaryIndex;
-use crate::table::{ColumnStats, Field, StoredColumn, Table};
+use crate::table::{summary_of, ColumnStats, Field, StoredColumn, Table};
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -711,16 +710,7 @@ fn restore_column(cf: ColFile) -> Result<StoredColumn, DurableError> {
         )));
     }
     let summary = if cf.has_summary {
-        let widened: Vec<i64> = match &cf.data {
-            ColumnData::I32(v) => v.iter().map(|&x| x as i64).collect(),
-            ColumnData::I64(v) => v.clone(),
-            _ => Vec::new(),
-        };
-        if widened.is_empty() && !cf.data.is_empty() {
-            None
-        } else {
-            Some(SummaryIndex::build(&widened))
-        }
+        summary_of(&cf.data)
     } else {
         None
     };
@@ -737,6 +727,7 @@ fn restore_column(cf: ColFile) -> Result<StoredColumn, DurableError> {
         compressed: cf.compressed,
         epoch: 0,
         codec_epoch: cf.codec_done.then_some(0),
+        codec_memo: None,
     })
 }
 
@@ -813,6 +804,7 @@ fn open_from_manifest(
         deletes: DeleteList::default(),
         inserts: InsertDelta::new(&types),
         codec_sweeps: 0,
+        chunks_encoded: 0,
         durable: Some(Arc::new(source)),
     })
 }

@@ -40,7 +40,7 @@ fn sample_table(seed: i64) -> Table {
     let flags: Vec<String> = (0..n)
         .map(|i| format!("F{}", (i as i64 + seed) % 7))
         .collect();
-    let enc = encode_str(flags.into_iter()).expect("low cardinality");
+    let enc = encode_str(flags.iter().map(String::as_str)).expect("low cardinality");
     TableBuilder::new("crash")
         .column("id", ColumnData::I64(ids))
         .column("val", ColumnData::F64(vals))

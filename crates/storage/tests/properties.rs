@@ -2,16 +2,21 @@
 //!
 //! Key invariants:
 //! * a table behaves like a simple row-store model under any sequence of
-//!   inserts / deletes / updates / reorganizes;
+//!   inserts / deletes / updates / reorganizes, and a reorganized table
+//!   is physically identical to one built from scratch from its live
+//!   rows (checkpointed too, if the table was);
 //! * enum encoding roundtrips and is order-preserving;
 //! * summary indices are always conservative.
+//!
+//! Deterministic tests at the end check the same identity at multi-chunk
+//! scale, and that a reorganize re-encodes only changed chunks.
 
 use proptest::prelude::*;
 use x100_storage::{
     choose_and_compress, compress_column_as, encode_i64, ChunkFormat, ColumnData, CompressedColumn,
-    DecodeCursor, SummaryIndex, TableBuilder,
+    DecodeCursor, SummaryIndex, Table, TableBuilder, CHUNK_ROWS,
 };
-use x100_vector::{Value, Vector};
+use x100_vector::{ScalarType, StrVec, Value, Vector};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -69,13 +74,96 @@ fn assert_decode_matches(cc: &CompressedColumn, data: &ColumnData, sizes: &[usiz
     }
 }
 
+/// The logical row a model value `v` stands for: the value itself, or,
+/// in the wide schema, one column per storage path derived from it —
+/// plain `i64` and `str`, enum `str` / `f64` / `i64`, and an `i32` with
+/// a summary index. The small derived domains let deletes empty and
+/// inserts grow enum dictionaries.
+fn model_row(v: i64, wide: bool) -> Vec<Value> {
+    let mut row = vec![Value::I64(v)];
+    if wide {
+        row.extend([
+            Value::Str(format!("s{}", v.rem_euclid(11))),
+            Value::Str(format!("e{}", v.rem_euclid(5))),
+            Value::F64(v.rem_euclid(6) as f64 * 0.25),
+            Value::I64(v.rem_euclid(9) - 4),
+            Value::I32(v.rem_euclid(50) as i32),
+        ]);
+    }
+    row
+}
+
+/// Build the table holding `model_row(v, wide)` for every `v`.
+fn model_table(values: &[i64], wide: bool) -> Table {
+    let rows: Vec<Vec<Value>> = values.iter().map(|&v| model_row(v, wide)).collect();
+    let col = |i: usize| rows.iter().map(move |r| &r[i]);
+    let strs = |i: usize| -> Vec<String> {
+        col(i)
+            .map(|v| match v {
+                Value::Str(s) => s.clone(),
+                other => unreachable!("{other:?}"),
+            })
+            .collect()
+    };
+    let b = TableBuilder::new("t").column("v", ColumnData::I64(values.to_vec()));
+    if !wide {
+        return b.build();
+    }
+    let f64s = col(3).map(|v| match v {
+        Value::F64(x) => *x,
+        other => unreachable!("{other:?}"),
+    });
+    let i64s = col(4).map(|v| match v {
+        Value::I64(x) => *x,
+        other => unreachable!("{other:?}"),
+    });
+    let i32s = col(5).map(|v| match v {
+        Value::I32(x) => *x,
+        other => unreachable!("{other:?}"),
+    });
+    let plain: StrVec = strs(1).iter().map(String::as_str).collect();
+    b.column("s", ColumnData::Str(plain))
+        .auto_enum_str("e", strs(2))
+        .auto_enum_f64("f", f64s.collect())
+        .auto_enum_i64("g", i64s.collect())
+        .column("d", ColumnData::I32(i32s.collect()))
+        .with_summary()
+        .build()
+}
+
+/// Assert `t` is physically identical to `reference`: fragment values,
+/// dictionaries, statistics, summary indices, compressed format and
+/// compressed chunk bytes, column by column.
+fn assert_same_storage(t: &Table, reference: &Table) {
+    assert_eq!(
+        t.fragment_rows(),
+        reference.fragment_rows(),
+        "fragment rows"
+    );
+    assert_eq!(t.num_columns(), reference.num_columns());
+    for i in 0..t.num_columns() {
+        let (a, b) = (t.column(i), reference.column(i));
+        let name = &b.field().name;
+        assert_eq!(a.field(), b.field(), "{name}: field");
+        assert_eq!(a.physical(), b.physical(), "{name}: fragment");
+        let dict = |c: &x100_storage::StoredColumn| c.dict().map(|d| d.values().clone());
+        assert_eq!(dict(a), dict(b), "{name}: dictionary");
+        assert_eq!(a.stats(), b.stats(), "{name}: stats");
+        assert_eq!(a.summary(), b.summary(), "{name}: summary index");
+        let format = |c: &x100_storage::StoredColumn| c.compressed().map(|cc| cc.format());
+        assert_eq!(format(a), format(b), "{name}: compressed format");
+        let bytes = |c: &x100_storage::StoredColumn| c.compressed().map(|cc| cc.to_bytes());
+        assert!(bytes(a) == bytes(b), "{name}: compressed chunk bytes");
+    }
+}
+
 proptest! {
     #[test]
     fn table_matches_row_model(init in prop::collection::vec(any::<i64>(), 0..40),
-                               ops in prop::collection::vec(op_strategy(), 0..40)) {
-        let mut table = TableBuilder::new("t")
-            .column("v", ColumnData::I64(init.clone()))
-            .build();
+                               ops in prop::collection::vec(op_strategy(), 0..40),
+                               wide in prop::bool::ANY) {
+        let mut table = model_table(&init, wide);
+        let mut checkpointed = false;
         // Model: live rows in #rowId order, as (value) list.
         let mut model: Vec<i64> = init.clone();
         // Map from live position -> rowid is implicit; we track rowids.
@@ -84,7 +172,7 @@ proptest! {
         for op in ops {
             match op {
                 Op::Insert(v) => {
-                    let id = table.insert(&[Value::I64(v)]);
+                    let id = table.insert(&model_row(v, wide));
                     model.push(v);
                     rowids.push(id);
                 }
@@ -99,7 +187,7 @@ proptest! {
                 Op::Update(pos, v) => {
                     if !model.is_empty() {
                         let pos = pos % model.len();
-                        let new_id = table.update(rowids[pos], &[Value::I64(v)]).expect("live row");
+                        let new_id = table.update(rowids[pos], &model_row(v, wide)).expect("live row");
                         model.remove(pos);
                         rowids.remove(pos);
                         model.push(v);
@@ -112,21 +200,32 @@ proptest! {
                 }
                 Op::Checkpoint => {
                     table.checkpoint();
+                    checkpointed = true;
                 }
             }
             prop_assert_eq!(table.live_rows(), model.len());
         }
         // Final check: every live row matches the model.
         for (pos, &id) in rowids.iter().enumerate() {
-            prop_assert_eq!(table.get_row(id), vec![Value::I64(model[pos])]);
+            prop_assert_eq!(table.get_row(id), model_row(model[pos], wide));
         }
         // Any checkpoint-compressed fragment must decode bit-identically
         // to the physical column it mirrors.
-        let sc = table.column(0);
-        if let Some(cc) = sc.compressed() {
-            prop_assert_eq!(cc.rows(), sc.physical().len());
-            assert_decode_matches(cc, sc.physical(), &[7, 1, 13]);
+        for i in 0..table.num_columns() {
+            let sc = table.column(i);
+            if let Some(cc) = sc.compressed() {
+                prop_assert_eq!(cc.rows(), sc.physical().len());
+                assert_decode_matches(cc, sc.physical(), &[7, 1, 13]);
+            }
         }
+        // Merged, the table is the one a from-scratch build of its live
+        // rows gives (checkpointed, if the table was).
+        table.reorganize();
+        let mut reference = model_table(&model, wide);
+        if checkpointed {
+            reference.checkpoint();
+        }
+        assert_same_storage(&table, &reference);
     }
 
     #[test]
@@ -587,4 +686,199 @@ proptest! {
             prop_assert!(delta.compile_pushdown(op, &Value::I64(5), None).is_none());
         }
     }
+}
+
+/// Keys from here on get a name that sorts before all others.
+const LATE_KEY: i64 = 1 << 20;
+
+/// Row `i` of the multi-chunk table: a sorted key (PFOR-DELTA), a price
+/// with more distinct values than PDICT takes (PFOR), a three-value
+/// enum flag (stays raw), a clustered date with a summary index
+/// (PFOR-DELTA) and a 40-value plain string (PDICT).
+fn wide_rows(keys: &[i64]) -> Table {
+    let flags = ["A", "N", "R"];
+    TableBuilder::new("wide")
+        .column("key", ColumnData::I64(keys.to_vec()))
+        .column(
+            "price",
+            ColumnData::F64(keys.iter().map(|&i| (i % 9000) as f64 / 100.0).collect()),
+        )
+        .auto_enum_str(
+            "flag",
+            keys.iter()
+                .map(|&i| flags[(i % 3) as usize].to_string())
+                .collect(),
+        )
+        .column(
+            "date",
+            ColumnData::I32(keys.iter().map(|&i| 8000 + (i / 100) as i32).collect()),
+        )
+        .with_summary()
+        .column(
+            "name",
+            ColumnData::Str(
+                keys.iter()
+                    .map(|&i| match i {
+                        LATE_KEY.. => "a late name".to_string(),
+                        _ => format!("name{:02}", i % 40),
+                    })
+                    .collect::<Vec<_>>()
+                    .iter()
+                    .map(String::as_str)
+                    .collect(),
+            ),
+        )
+        .build()
+}
+
+/// The logical row `wide_rows` builds for key `i`.
+fn wide_row(i: i64) -> Vec<Value> {
+    let t = wide_rows(&[i]);
+    t.get_row(0)
+}
+
+#[test]
+#[cfg_attr(miri, ignore)]
+fn reorganize_reencodes_only_changed_chunks() {
+    let n = 3 * CHUNK_ROWS + 1000;
+    let mut keys: Vec<i64> = (0..n as i64).collect();
+    let mut t = wide_rows(&keys);
+    t.checkpoint();
+    let formats: Vec<Option<ChunkFormat>> = (0..t.num_columns())
+        .map(|i| t.column(i).compressed().map(|c| c.format()))
+        .collect();
+    use ChunkFormat::*;
+    assert_eq!(
+        formats,
+        [
+            Some(PforDelta),
+            Some(Pfor),
+            None,
+            Some(PforDelta),
+            Some(Pdict)
+        ]
+    );
+    // Chunks one changed chunk costs: every frame-format candidate
+    // (PFOR; PFOR-DELTA too on sorted columns) encodes it to learn its
+    // size, and the PDICT winner encodes it once. PDICT's own sizes
+    // follow from its lane, so the other columns encode nothing for it.
+    let per_chunk = 2 + 1 + 1 + 2 + 1;
+    let reorganize = |t: &mut Table, keys: &[i64], first_changed: usize| {
+        let before = t.chunks_encoded();
+        t.reorganize();
+        let mut reference = wide_rows(keys);
+        reference.checkpoint();
+        assert_same_storage(t, &reference);
+        let changed = t.fragment_rows().div_ceil(CHUNK_ROWS) - first_changed / CHUNK_ROWS;
+        assert_eq!(t.chunks_encoded() - before, (per_chunk * changed) as u64);
+    };
+
+    // The refresh shape: delete the tail, then append new keys.
+    let tail = n - 500;
+    for r in tail..n {
+        assert!(t.delete(r as u32));
+    }
+    keys.truncate(tail);
+    reorganize(&mut t, &keys, tail);
+    let next = n as i64;
+    for i in next..next + 700 {
+        t.insert(&wide_row(i));
+        keys.push(i);
+    }
+    reorganize(&mut t, &keys, tail);
+
+    // A delete in the second chunk re-encodes it and everything after.
+    let mid = CHUNK_ROWS + 4464;
+    for r in (mid..mid + 100).step_by(3) {
+        assert!(t.delete(r as u32));
+    }
+    keys = keys
+        .iter()
+        .enumerate()
+        .filter(|&(p, _)| !(mid..mid + 100).step_by(3).any(|r| r == p))
+        .map(|(_, &k)| k)
+        .collect();
+    reorganize(&mut t, &keys, mid);
+
+    // Nothing changed: every chunk is reused.
+    let before = t.chunks_encoded();
+    t.reorganize();
+    assert_eq!(t.chunks_encoded(), before);
+    let mut reference = wide_rows(&keys);
+    reference.checkpoint();
+    assert_same_storage(&t, &reference);
+
+    // A torn chunk in the unchanged prefix is re-encoded, not carried.
+    assert!(t.corrupt_compressed_payload(1, 0, 5));
+    t.reorganize();
+    assert_eq!(t.chunks_encoded(), before + 1);
+    assert_same_storage(&t, &reference);
+
+    // A new smallest name changes PDICT's dictionary, so every chunk of
+    // that column re-encodes; the other columns still encode the last.
+    t.insert(&wide_row(LATE_KEY));
+    keys.push(LATE_KEY);
+    let before = t.chunks_encoded();
+    t.reorganize();
+    let chunks = t.fragment_rows().div_ceil(CHUNK_ROWS);
+    assert_eq!(t.chunks_encoded() - before, (per_chunk - 1 + chunks) as u64);
+    let mut reference = wide_rows(&keys);
+    reference.checkpoint();
+    assert_same_storage(&t, &reference);
+}
+
+#[test]
+#[cfg_attr(miri, ignore)]
+fn enum_code_width_and_plain_fallback_follow_cardinality() {
+    // 256 distinct values fit U8 codes; one more needs U16; past
+    // MAX_ENUM_CARD the column is stored plain, as a fresh build would.
+    let build = |vals: &[i64]| {
+        TableBuilder::new("e")
+            .auto_enum_i64("g", vals.to_vec())
+            .build()
+    };
+    let mut vals: Vec<i64> = (0..256).collect();
+    let mut t = build(&vals);
+    t.checkpoint();
+    assert_eq!(t.column(0).physical_type(), ScalarType::U8);
+    t.insert(&[Value::I64(-1)]);
+    vals.push(-1);
+    t.reorganize();
+    assert_eq!(t.column(0).physical_type(), ScalarType::U16);
+    let mut reference = build(&vals);
+    reference.checkpoint();
+    assert_same_storage(&t, &reference);
+    // Deleting a value's last row narrows the codes back to U8.
+    assert!(t.delete(3));
+    vals.remove(3);
+    t.reorganize();
+    assert_eq!(t.column(0).physical_type(), ScalarType::U8);
+    let mut reference = build(&vals);
+    reference.checkpoint();
+    assert_same_storage(&t, &reference);
+
+    let mut vals: Vec<i64> = (0..x100_storage::MAX_ENUM_CARD as i64).collect();
+    let mut t = build(&vals);
+    assert!(t.column(0).dict().is_some());
+    t.insert(&[Value::I64(-7)]);
+    vals.push(-7);
+    t.reorganize();
+    assert!(
+        t.column(0).dict().is_none(),
+        "over-cardinality falls back to plain"
+    );
+    assert_same_storage(&t, &build(&vals));
+
+    // Codes built wider than the cardinality needs come out canonical.
+    let enc = encode_i64(&[5, 7, 5]).expect("fits");
+    let wide = ColumnData::U16(enc.codes.as_u8().iter().map(|&c| c as u16).collect());
+    let mut t = TableBuilder::new("e")
+        .enum_column("g", wide, enc.dict)
+        .build();
+    t.checkpoint();
+    t.insert(&[Value::I64(7)]);
+    t.reorganize();
+    let mut reference = build(&[5, 7, 5, 7]);
+    reference.checkpoint();
+    assert_same_storage(&t, &reference);
 }
