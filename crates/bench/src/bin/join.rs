@@ -54,11 +54,9 @@ fn star_db(card: usize, probe_rows: usize) -> Database {
                 ),
             )
             .column("v", ColumnData::I64((0..probe_rows as i64).collect()))
-            // Positional foreign key for the Fetch1Join sweep: provably
-            // inside [0, card), so the facts analyzer licenses the
-            // `_unchecked` gather twins (DESIGN.md §13). Left raw (no
-            // checkpoint) so the positional gather, not the compressed
-            // fast path, serves the fetch.
+            // Positional foreign key for the Fetch1Join sweep, inside
+            // [0, card). Left raw (no checkpoint) so the positional
+            // gather, not the compressed fast path, serves the fetch.
             .column(
                 "rid",
                 ColumnData::U32((0..probe_rows).map(|i| (i % card) as u32).collect()),
@@ -193,52 +191,37 @@ fn main() {
         }
     }
 
-    // ---- Fetch1Join sweep: proven bounds → `_unchecked` gathers ----
-    // The rid column provably stays inside the dimension fragment, so
-    // the binder must dispatch the unchecked fetch twins; outputs must
-    // stay byte-identical to the checked path at every thread count.
-    println!("\nfetch sweep: positional Fetch1Join, facts-proven bounds");
+    // ---- Fetch1Join sweep: positional gathers at every thread count ----
+    // Outputs must stay byte-identical to the single-thread run.
+    println!("\nfetch sweep: positional Fetch1Join");
     println!(
-        "{:>10} {:>8} {:>12} {:>12}  check",
-        "build", "threads", "median (s)", "unchecked"
+        "{:>10} {:>8} {:>12}  check",
+        "build", "threads", "median (s)"
     );
     let fplan = fetch_plan();
     let fetch_threads: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8] };
-    let mut fetch_runs: Vec<(usize, usize, f64, u64, bool)> = Vec::new();
-    let mut unchecked_total = 0u64;
+    let mut fetch_runs: Vec<(usize, usize, f64, bool)> = Vec::new();
     for &card in cards {
         let db = star_db(card, probe_rows);
-        let (seq, _) = execute(
-            &db,
-            &fplan,
-            &ExecOptions::default().with_unchecked_fetch(false),
-        )
-        .expect("checked fetch baseline");
+        let (seq, _) = execute(&db, &fplan, &ExecOptions::default()).expect("sequential fetch");
         let reference = seq.row_strings();
         for &threads in fetch_threads {
-            let opts = ExecOptions::default().parallel(threads).profiled();
+            let opts = ExecOptions::default().parallel(threads);
             let mut times = Vec::with_capacity(reps);
             let mut ok = true;
-            let mut dispatches = 0u64;
             for _ in 0..reps {
                 let t0 = Instant::now();
-                let (res, prof) = execute(&db, &fplan, &opts).expect("fetch run");
+                let (res, _) = execute(&db, &fplan, &opts).expect("fetch run");
                 times.push(secs(t0.elapsed()));
                 ok &= res.row_strings() == reference;
-                dispatches = prof.counter("fetch_unchecked_dispatches").unwrap_or(0);
             }
             let med = median(times);
             println!(
-                "{card:>10} {threads:>8} {med:>12.6} {dispatches:>12}  {}",
+                "{card:>10} {threads:>8} {med:>12.6}  {}",
                 if ok { "match" } else { "MISMATCH" }
             );
-            unchecked_total += dispatches;
-            fetch_runs.push((card, threads, med, dispatches, ok));
+            fetch_runs.push((card, threads, med, ok));
         }
-    }
-    if unchecked_total == 0 {
-        eprintln!("error: facts-proven fetch plan never dispatched an _unchecked twin");
-        std::process::exit(1);
     }
 
     // Hand-rolled JSON — the workspace deliberately has no serde.
@@ -265,9 +248,9 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str("  \"fetch_sweep\": [\n");
-    for (i, (card, threads, med, dispatches, ok)) in fetch_runs.iter().enumerate() {
+    for (i, (card, threads, med, ok)) in fetch_runs.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"build_rows\": {card}, \"threads\": {threads}, \"median_s\": {med:.6}, \"fetch_unchecked_dispatches\": {dispatches}, \"matches_checked\": {ok}}}{}\n",
+            "    {{\"build_rows\": {card}, \"threads\": {threads}, \"median_s\": {med:.6}, \"matches_sequential\": {ok}}}{}\n",
             if i + 1 < fetch_runs.len() { "," } else { "" }
         ));
     }
@@ -275,7 +258,7 @@ fn main() {
     std::fs::write("BENCH_join.json", &json).expect("write BENCH_join.json");
     println!("\nwrote BENCH_join.json");
 
-    if runs.iter().any(|r| !r.ok) || fetch_runs.iter().any(|r| !r.4) {
+    if runs.iter().any(|r| !r.ok) || fetch_runs.iter().any(|r| !r.3) {
         std::process::exit(1);
     }
 }

@@ -61,9 +61,9 @@ pub struct CheckSummary {
     /// Human-readable walk log, one line per node / program.
     pub report: Vec<String>,
     /// The abstract states and proof sinks the facts analyzer inferred
-    /// during the same walk ([`crate::facts`]); the binder consumes
-    /// `fetch_proofs` (unchecked gather dispatch) and
-    /// `select_verdicts` (constant folding).
+    /// during the same walk ([`crate::facts`]). The binder consumes
+    /// `select_verdicts` (constant folding); `fetch_proofs` are reported
+    /// (`--explain-facts`) and pick no kernel.
     pub facts: PlanFacts,
 }
 
@@ -919,12 +919,11 @@ impl<'a> Checker<'a> {
                         })
                     }
                 }
-                // Fetch-bounds proof: the `_unchecked` gather twins read
-                // only the contiguous fragment arrays, so the proof
-                // obligation is `#rowId ⊆ [0, fragment_rows)` (delta rows
-                // would be out of bounds for the raw-slice kernels). The
-                // proof is only attempted for true u32 join indexes; enum
-                // code rowids decode against the dictionary instead.
+                // Fetch-bounds proof: `#rowId ⊆ [0, fragment_rows)`, i.e.
+                // the gather never leaves the contiguous fragment arrays
+                // for the delta slow path. The proof is only attempted
+                // for true u32 join indexes; enum code rowids decode
+                // against the dictionary instead.
                 let rid_range = if raw.result_type() == ScalarType::U32 {
                     facts::eval_prog(&raw, &in_nf.cols, self.reg)
                         .range

@@ -11,12 +11,13 @@
 //! compiled expression programs via the per-primitive transfer
 //! functions declared in the registry ([`x100_vector::FactTransfer`]).
 //!
-//! Sinks (consumed by the binder):
-//! * **fetch-bounds proofs** — when every `#rowId` a `Fetch1Join` /
-//!   `FetchNJoin` gathers is proven `< fragment_rows`, the op dispatches
-//!   the `_unchecked` kernel twins (paper-style "on the metal" loops);
-//! * **selection folding** — predicates proven always-true bind to a
-//!   pass-through, always-false to an empty scan;
+//! Sinks:
+//! * **fetch-bounds proofs** — whether every `#rowId` a `Fetch1Join` /
+//!   `FetchNJoin` gathers is proven `< fragment_rows`. Proofs are
+//!   reported (`--explain-facts`, `--enforce-facts`), not dispatched:
+//!   the gather is one bounds-checked pass either way;
+//! * **selection folding** (consumed by the binder) — predicates proven
+//!   always-true bind to a pass-through, always-false to an empty scan;
 //! * **no-overflow proofs** — integer interval arithmetic widens to ⊤
 //!   exactly when the result type could overflow, so a non-⊤ integer
 //!   range doubles as an overflow-freedom certificate.
@@ -149,7 +150,7 @@ impl NodeFacts {
 }
 
 /// All facts inferred for one plan: per-node states plus the proof
-/// sinks the binder consumes. Nodes are keyed by [`crate::plan::plan_key`]
+/// sinks (select verdicts feed the binder; fetch proofs are reported). Nodes are keyed by [`crate::plan::plan_key`]
 /// (the plan node's address — stable because plans are checked and
 /// bound behind the same immutable borrow).
 #[derive(Debug, Clone, Default)]

@@ -91,10 +91,9 @@ pub struct QueryContext {
     panic_fired: AtomicBool,
     /// Facts the bind-time analyzer proved for this query's plan
     /// ([`crate::facts::PlanFacts`]), set once between `check_plan` and
-    /// binding. Binder sinks (unchecked fetch dispatch, selection
-    /// folding) read it; unset means no proofs (e.g. a bare
-    /// `bind_governed` without a prior check) and the binder stays on
-    /// the checked paths.
+    /// binding. The selection-folding sink reads it; unset means no
+    /// proofs (e.g. a bare `bind_governed` without a prior check) and
+    /// every predicate is evaluated.
     plan_facts: std::sync::OnceLock<crate::facts::PlanFacts>,
 }
 

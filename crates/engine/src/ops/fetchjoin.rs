@@ -18,7 +18,7 @@ use crate::profile::Profiler;
 use crate::PlanError;
 use std::sync::Arc;
 use x100_storage::{ColumnData, DecodeCursor, Table};
-use x100_vector::{fetch as vfetch, ScalarType, SelVec, Vector};
+use x100_vector::{fetch as vfetch, ScalarType, SelVec, StrVec, Vector};
 
 /// A column to fetch from the target table.
 struct FetchCol {
@@ -28,10 +28,6 @@ struct FetchCol {
     sig: String,
     /// Fetch raw enum codes instead of decoded values.
     as_codes: bool,
-    /// Dispatch the `_unchecked` gather twin: set by the binder only
-    /// when the facts analyzer proved every `#rowId` within the
-    /// fragment (`engine::facts` fetch-bounds sink).
-    unchecked: bool,
     /// Reused scratch for gathering straight from compressed chunks.
     gs: GatherState,
 }
@@ -45,12 +41,17 @@ struct GatherState {
     cursor: DecodeCursor,
 }
 
+/// Trace label of a gather served straight from compressed chunks. It
+/// is deliberately not a primitive signature: no registered kernel ran,
+/// the column's codec did (see `CompressedColumn::gather`).
+pub const COMPRESSED_GATHER: &str = "fetch_compressed_gather";
+
 /// Positional fetch with the compressed fast path: dense (unselected)
 /// rowid vectors against a checkpointed fragment column gather directly
 /// from the packed chunks — PFOR-DELTA `#rowId` columns seek from the
 /// nearest sync point instead of decoding whole chunks. Falls back to
 /// the raw fragment on any decode error (torn chunk), counting a
-/// recovery.
+/// recovery. Returns whether the compressed chunks served the vector.
 fn fetch_gather(
     table: &Table,
     fc: &mut FetchCol,
@@ -59,14 +60,14 @@ fn fetch_gather(
     sel: Option<&SelVec>,
     out: &mut Vector,
     prof: &mut Profiler,
-) {
+) -> bool {
     let sc = table.column(fc.col);
-    let frag_rows = table.fragment_rows() as u32;
-    if sel.is_none()
-        && (fc.as_codes || sc.dict().is_none())
-        && rowids[..n].iter().all(|&r| r < frag_rows)
-    {
-        if let Some(cc) = sc.compressed() {
+    if let Some(cc) = sc.compressed() {
+        let frag_rows = table.fragment_rows() as u32;
+        if sel.is_none()
+            && (fc.as_codes || sc.dict().is_none())
+            && rowids[..n].iter().all(|&r| r < frag_rows)
+        {
             match cc.gather(
                 &rowids[..n],
                 out,
@@ -76,7 +77,7 @@ fn fetch_gather(
             ) {
                 Ok(()) => {
                     prof.add_counter("fetch_compressed_gathers", 1);
-                    return;
+                    return true;
                 }
                 Err(_) => {
                     prof.add_counter("decode_recoveries", 1);
@@ -85,290 +86,171 @@ fn fetch_gather(
             }
         }
     }
-    // Proven-bounds fast path: skip both the O(n) range scan and the
-    // per-element bounds checks. `fc.unchecked` is only ever set by the
-    // binder under a bind-time fetch-bounds proof.
-    if fc.unchecked && (fc.as_codes || sc.dict().is_none()) {
-        out.resize_zeroed(n);
-        if unchecked_gather(sc.physical(), out, &rowids[..n], sel) {
-            prof.add_counter("fetch_unchecked_dispatches", 1);
-            return;
-        }
-    }
-    gather_positional(table, fc.col, fc.as_codes, rowids, n, sel, out);
+    gather_positional(table, fc.col, fc.as_codes, &rowids[..n], sel, out);
+    false
 }
 
-/// Dispatch one `_unchecked` gather twin for a (column, output) type
-/// pair; `false` when no twin exists (strings, u64, bool) and the caller
-/// must fall back to the checked path.
-fn unchecked_gather(
-    data: &ColumnData,
-    out: &mut Vector,
-    rowids: &[u32],
-    sel: Option<&SelVec>,
-) -> bool {
-    // SAFETY (every arm): the bind-time facts proof guarantees each
-    // gathered rowid < fragment length (`engine::facts` fetch-bounds
-    // sink — under a selection only selected positions are gathered,
-    // which are exactly the positions the proof covers), and the caller
-    // resized `out` to cover every gathered position.
-    match (data, out) {
-        (ColumnData::I8(b), Vector::I8(o)) => unsafe {
-            vfetch::map_fetch_u32_col_i8_col_unchecked(o, b, rowids, sel)
-        },
-        (ColumnData::I16(b), Vector::I16(o)) => unsafe {
-            vfetch::map_fetch_u32_col_i16_col_unchecked(o, b, rowids, sel)
-        },
-        (ColumnData::I32(b), Vector::I32(o)) => unsafe {
-            vfetch::map_fetch_u32_col_i32_col_unchecked(o, b, rowids, sel)
-        },
-        (ColumnData::I64(b), Vector::I64(o)) => unsafe {
-            vfetch::map_fetch_u32_col_i64_col_unchecked(o, b, rowids, sel)
-        },
-        (ColumnData::U8(b), Vector::U8(o)) => unsafe {
-            vfetch::map_fetch_u32_col_u8_col_unchecked(o, b, rowids, sel)
-        },
-        (ColumnData::U16(b), Vector::U16(o)) => unsafe {
-            vfetch::map_fetch_u32_col_u16_col_unchecked(o, b, rowids, sel)
-        },
-        (ColumnData::U32(b), Vector::U32(o)) => unsafe {
-            vfetch::map_fetch_u32_col_u32_col_unchecked(o, b, rowids, sel)
-        },
-        (ColumnData::F64(b), Vector::F64(o)) => unsafe {
-            vfetch::map_fetch_u32_col_f64_col_unchecked(o, b, rowids, sel)
-        },
-        _ => return false,
-    }
-    true
-}
-
-/// Whether the `_unchecked` twin family covers this column's physical
-/// representation (it must also not be dictionary-decoded — code
-/// fetches and plain columns qualify, decoded enum fetches do not).
-fn has_unchecked_twin(data: &ColumnData) -> bool {
-    matches!(
-        data,
-        ColumnData::I8(_)
-            | ColumnData::I16(_)
-            | ColumnData::I32(_)
-            | ColumnData::I64(_)
-            | ColumnData::U8(_)
-            | ColumnData::U16(_)
-            | ColumnData::U32(_)
-            | ColumnData::F64(_)
-    )
-}
-
-/// Fetch `table[rowids[i]].col` positionally into `out` under `sel`.
-/// Fragment-region fast path per type; enum columns decode through the
-/// dictionary; delta-region rowids take the slow value path.
-#[allow(clippy::needless_range_loop)] // positional writes under a selection
+/// Fetch `table[rowids[i]].col` positionally into `out` under `sel`:
+/// one bounds-checked pass over the fragment (enum columns decode
+/// through the dictionary). Only when a selected rowid lies outside
+/// the fragment, in the insert delta, does the vector take the slow
+/// value path.
 fn gather_positional(
     table: &Table,
     col: usize,
     as_codes: bool,
     rowids: &[u32],
-    n: usize,
     sel: Option<&SelVec>,
     out: &mut Vector,
 ) {
     let sc = table.column(col);
-    let frag_rows = table.fragment_rows() as u32;
-    let in_frag = match sel {
-        None => rowids[..n].iter().all(|&r| r < frag_rows),
-        Some(s) => s.iter().all(|i| rowids[i] < frag_rows),
-    };
-    out.resize_zeroed(n);
-    if in_frag {
-        // Code fetch: gather the physical code column directly.
-        let dict = if as_codes { None } else { sc.dict() };
-        match (dict, sc.physical()) {
-            (None, data) => {
-                match (data, &mut *out) {
-                    (ColumnData::I8(b), Vector::I8(o)) => vfetch::fetch(o, b, rowids, sel),
-                    (ColumnData::I16(b), Vector::I16(o)) => vfetch::fetch(o, b, rowids, sel),
-                    (ColumnData::I32(b), Vector::I32(o)) => vfetch::fetch(o, b, rowids, sel),
-                    (ColumnData::I64(b), Vector::I64(o)) => vfetch::fetch(o, b, rowids, sel),
-                    (ColumnData::U8(b), Vector::U8(o)) => vfetch::fetch(o, b, rowids, sel),
-                    (ColumnData::U16(b), Vector::U16(o)) => vfetch::fetch(o, b, rowids, sel),
-                    (ColumnData::U32(b), Vector::U32(o)) => vfetch::fetch(o, b, rowids, sel),
-                    (ColumnData::U64(b), Vector::U64(o)) => vfetch::fetch(o, b, rowids, sel),
-                    (ColumnData::F64(b), Vector::F64(o)) => vfetch::fetch(o, b, rowids, sel),
-                    (ColumnData::Str(b), Vector::Str(o)) => {
-                        o.clear();
-                        let mut strs = Vec::new();
-                        match sel {
-                            None => {
-                                for &r in &rowids[..n] {
-                                    strs.push(b.get(r as usize));
-                                }
-                            }
-                            Some(s) => {
-                                // Positional write into a StrVec: fill
-                                // unselected with empties.
-                                let mut next = s.iter().peekable();
-                                for i in 0..n {
-                                    if next.peek() == Some(&i) {
-                                        next.next();
-                                        strs.push(b.get(rowids[i] as usize));
-                                    } else {
-                                        strs.push("");
-                                    }
-                                }
-                            }
-                        }
-                        for st in strs {
-                            o.push(st);
-                        }
-                    }
-                    (d, o) => panic!(
-                        "fetch mismatch: column {:?}, out {:?}",
-                        d.scalar_type(),
-                        o.scalar_type()
-                    ),
-                }
+    out.resize_zeroed(rowids.len());
+    // Code fetch: gather the physical code column directly.
+    let dict = if as_codes { None } else { sc.dict() };
+    let in_frag = match (dict, sc.physical()) {
+        (Some(dict), ColumnData::U8(c)) => gather_decode(c, dict.values(), rowids, sel, out),
+        (Some(dict), ColumnData::U16(c)) => gather_decode(c, dict.values(), rowids, sel, out),
+        (Some(_), c) => panic!("enum codes are U8/U16, got {:?}", c.scalar_type()),
+        (None, data) => match (data, &mut *out) {
+            (ColumnData::I8(b), Vector::I8(o)) => vfetch::try_fetch(o, b, rowids, sel),
+            (ColumnData::I16(b), Vector::I16(o)) => vfetch::try_fetch(o, b, rowids, sel),
+            (ColumnData::I32(b), Vector::I32(o)) => vfetch::try_fetch(o, b, rowids, sel),
+            (ColumnData::I64(b), Vector::I64(o)) => vfetch::try_fetch(o, b, rowids, sel),
+            (ColumnData::U8(b), Vector::U8(o)) => vfetch::try_fetch(o, b, rowids, sel),
+            (ColumnData::U16(b), Vector::U16(o)) => vfetch::try_fetch(o, b, rowids, sel),
+            (ColumnData::U32(b), Vector::U32(o)) => vfetch::try_fetch(o, b, rowids, sel),
+            (ColumnData::U64(b), Vector::U64(o)) => vfetch::try_fetch(o, b, rowids, sel),
+            (ColumnData::F64(b), Vector::F64(o)) => vfetch::try_fetch(o, b, rowids, sel),
+            (ColumnData::Str(b), Vector::Str(o)) => {
+                gather_str(o, rowids, sel, |r| (r < b.len()).then(|| b.get(r)))
             }
-            (Some(dict), codes) => {
-                // Two-step: gather code, then decode via dictionary.
-                match (codes, dict.values(), &mut *out) {
-                    (ColumnData::U8(c), ColumnData::F64(d), Vector::F64(o)) => {
-                        gather_decode(c, d, rowids, n, sel, o)
-                    }
-                    (ColumnData::U8(c), ColumnData::I64(d), Vector::I64(o)) => {
-                        gather_decode(c, d, rowids, n, sel, o)
-                    }
-                    (ColumnData::U8(c), ColumnData::I32(d), Vector::I32(o)) => {
-                        gather_decode(c, d, rowids, n, sel, o)
-                    }
-                    (ColumnData::U16(c), ColumnData::F64(d), Vector::F64(o)) => {
-                        gather_decode16(c, d, rowids, n, sel, o)
-                    }
-                    (ColumnData::U16(c), ColumnData::I64(d), Vector::I64(o)) => {
-                        gather_decode16(c, d, rowids, n, sel, o)
-                    }
-                    (ColumnData::U16(c), ColumnData::I32(d), Vector::I32(o)) => {
-                        gather_decode16(c, d, rowids, n, sel, o)
-                    }
-                    (_, ColumnData::Str(d), Vector::Str(o)) => {
-                        o.clear();
-                        let code_of = |r: usize| -> usize {
-                            match codes {
-                                ColumnData::U8(c) => c[r] as usize,
-                                ColumnData::U16(c) => c[r] as usize,
-                                _ => unreachable!("codes are U8/U16"),
-                            }
-                        };
-                        match sel {
-                            None => {
-                                for &r in &rowids[..n] {
-                                    o.push(d.get(code_of(r as usize)));
-                                }
-                            }
-                            Some(s) => {
-                                let mut next = s.iter().peekable();
-                                for i in 0..n {
-                                    if next.peek() == Some(&i) {
-                                        next.next();
-                                        o.push(d.get(code_of(rowids[i] as usize)));
-                                    } else {
-                                        o.push("");
-                                    }
-                                }
-                            }
+            (d, o) => panic!(
+                "fetch mismatch: column {:?}, out {:?}",
+                d.scalar_type(),
+                o.scalar_type()
+            ),
+        },
+    };
+    if in_frag {
+        return;
+    }
+    assert!(
+        !as_codes,
+        "code fetch into the delta region (binder forbids this)"
+    );
+    // Slow path: some selected rowids live in the delta region.
+    match sel {
+        None => {
+            out.clear();
+            for &r in rowids {
+                out.push_value(&row_value(table, col, r));
+            }
+        }
+        Some(s) => {
+            // Positional writes for fixed-width types only; strings
+            // with deltas + selection are handled valuewise.
+            if out.scalar_type() == ScalarType::Str {
+                let strvec = out.as_str_mut();
+                strvec.clear();
+                let mut next = s.iter().peekable();
+                for (i, &r) in rowids.iter().enumerate() {
+                    if next.peek() == Some(&i) {
+                        next.next();
+                        match row_value(table, col, r) {
+                            x100_vector::Value::Str(v) => strvec.push(&v),
+                            other => panic!("expected string, got {other:?}"),
                         }
+                    } else {
+                        strvec.push("");
                     }
-                    (c, d, o) => panic!(
-                        "enum fetch mismatch: codes {:?}, dict {:?}, out {:?}",
-                        c.scalar_type(),
-                        d.scalar_type(),
-                        o.scalar_type()
-                    ),
+                }
+            } else {
+                for i in s.iter() {
+                    set_value_at(out, i, &row_value(table, col, rowids[i]));
                 }
             }
         }
-    } else {
-        assert!(
-            !as_codes,
-            "code fetch into the delta region (binder forbids this)"
-        );
-        // Slow path: some rowids live in the delta region.
+    }
+}
+
+/// Enum decode gather: `out[i] = dict[codes[rowids[i]]]` in one pass,
+/// `false` if a selected rowid lies outside the fragment's code column.
+fn gather_decode<C: Copy + Into<usize>>(
+    codes: &[C],
+    dict: &ColumnData,
+    rowids: &[u32],
+    sel: Option<&SelVec>,
+    out: &mut Vector,
+) -> bool {
+    fn decode<C: Copy + Into<usize>, T: Copy>(
+        codes: &[C],
+        dict: &[T],
+        rowids: &[u32],
+        sel: Option<&SelVec>,
+        out: &mut [T],
+    ) -> bool {
+        let value = |r: u32| codes.get(r as usize).map(|&c| dict[c.into()]);
         match sel {
             None => {
-                out.clear();
-                for &r in &rowids[..n] {
-                    out.push_value(&row_value(table, col, r));
+                for (o, &r) in out.iter_mut().zip(rowids) {
+                    match value(r) {
+                        Some(v) => *o = v,
+                        None => return false,
+                    }
                 }
             }
             Some(s) => {
-                // Positional writes for fixed-width types only; strings
-                // with deltas + selection are handled valuewise.
-                if out.scalar_type() == ScalarType::Str {
-                    let strvec = out.as_str_mut();
-                    strvec.clear();
-                    let mut next = s.iter().peekable();
-                    for i in 0..n {
-                        if next.peek() == Some(&i) {
-                            next.next();
-                            match row_value(table, col, rowids[i]) {
-                                x100_vector::Value::Str(v) => strvec.push(&v),
-                                other => panic!("expected string, got {other:?}"),
-                            }
-                        } else {
-                            strvec.push("");
-                        }
-                    }
-                } else {
-                    for i in s.iter() {
-                        set_value_at(out, i, &row_value(table, col, rowids[i]));
+                for i in s.iter() {
+                    match value(rowids[i]) {
+                        Some(v) => out[i] = v,
+                        None => return false,
                     }
                 }
             }
         }
+        true
+    }
+    match (dict, out) {
+        (ColumnData::F64(d), Vector::F64(o)) => decode(codes, d, rowids, sel, o),
+        (ColumnData::I64(d), Vector::I64(o)) => decode(codes, d, rowids, sel, o),
+        (ColumnData::I32(d), Vector::I32(o)) => decode(codes, d, rowids, sel, o),
+        (ColumnData::Str(d), Vector::Str(o)) => {
+            gather_str(o, rowids, sel, |r| codes.get(r).map(|&c| d.get(c.into())))
+        }
+        (d, o) => panic!(
+            "enum fetch mismatch: dict {:?}, out {:?}",
+            d.scalar_type(),
+            o.scalar_type()
+        ),
     }
 }
 
-fn gather_decode<T: Copy>(
-    codes: &[u8],
-    dict: &[T],
+/// String gather: rebuilds `o` positionally (unselected positions become
+/// empty strings). `get` resolves a fragment row, `None` outside the
+/// fragment, which fails the gather.
+fn gather_str<'a>(
+    o: &mut StrVec,
     rowids: &[u32],
-    n: usize,
     sel: Option<&SelVec>,
-    out: &mut [T],
-) {
-    match sel {
-        None => {
-            for (o, &r) in out.iter_mut().zip(rowids.iter()).take(n) {
-                *o = dict[codes[r as usize] as usize];
-            }
+    get: impl Fn(usize) -> Option<&'a str>,
+) -> bool {
+    o.clear();
+    let mut next = sel.map(|s| s.iter().peekable());
+    for (i, &r) in rowids.iter().enumerate() {
+        let selected = match &mut next {
+            None => true,
+            Some(it) => it.next_if_eq(&i).is_some(),
+        };
+        if !selected {
+            o.push("");
+            continue;
         }
-        Some(s) => {
-            for i in s.iter() {
-                out[i] = dict[codes[rowids[i] as usize] as usize];
-            }
+        match get(r as usize) {
+            Some(v) => o.push(v),
+            None => return false,
         }
     }
-}
-
-fn gather_decode16<T: Copy>(
-    codes: &[u16],
-    dict: &[T],
-    rowids: &[u32],
-    n: usize,
-    sel: Option<&SelVec>,
-    out: &mut [T],
-) {
-    match sel {
-        None => {
-            for (o, &r) in out.iter_mut().zip(rowids.iter()).take(n) {
-                *o = dict[codes[r as usize] as usize];
-            }
-        }
-        Some(s) => {
-            for i in s.iter() {
-                out[i] = dict[codes[rowids[i] as usize] as usize];
-            }
-        }
-    }
+    true
 }
 
 fn row_value(table: &Table, col: usize, rowid: u32) -> x100_vector::Value {
@@ -453,7 +335,6 @@ impl Fetch1JoinOp {
                 col: ci,
                 sig,
                 as_codes: false,
-                unchecked: false,
                 gs: GatherState::default(),
             });
             fields.push(OutField::new(alias.clone(), ty));
@@ -475,7 +356,6 @@ impl Fetch1JoinOp {
                 col: ci,
                 sig,
                 as_codes: true,
-                unchecked: false,
                 gs: GatherState::default(),
             });
             fields.push(OutField::new(alias.clone(), ty));
@@ -491,27 +371,6 @@ impl Fetch1JoinOp {
             rowid_buf: Vec::new(),
             out: Batch::new(),
         })
-    }
-
-    /// Switch eligible fetch columns to their `_unchecked` gather twins.
-    /// The binder calls this only when the facts analyzer proved every
-    /// `#rowId` this op gathers within `[0, fragment_rows)`
-    /// (`engine::facts`); columns without a twin (strings, u64, decoded
-    /// enums) keep the checked path.
-    pub fn set_unchecked(&mut self) {
-        set_unchecked_cols(&self.table, &mut self.fetch_cols);
-    }
-}
-
-/// Flip eligible fetch columns to their `_unchecked` twins (shared by
-/// both fetch-join ops; see [`Fetch1JoinOp::set_unchecked`]).
-fn set_unchecked_cols(table: &Table, fetch_cols: &mut [FetchCol]) {
-    for fc in fetch_cols {
-        let sc = table.column(fc.col);
-        if (fc.as_codes || sc.dict().is_none()) && has_unchecked_twin(sc.physical()) {
-            fc.unchecked = true;
-            fc.sig = format!("{}_unchecked", fc.sig);
-        }
     }
 }
 
@@ -541,9 +400,14 @@ impl Operator for Fetch1JoinOp {
             let t0 = prof.start();
             let mut v = self.pools[k].writable();
             let fc = &mut self.fetch_cols[k];
-            fetch_gather(&self.table, fc, &self.rowid_buf, n, sel, &mut v, prof);
+            let compressed = fetch_gather(&self.table, fc, &self.rowid_buf, n, sel, &mut v, prof);
             let bytes = live * 4 + v.byte_size();
-            prof.record_prim(&fc.sig, t0, live, bytes);
+            let sig = if compressed {
+                COMPRESSED_GATHER
+            } else {
+                &fc.sig
+            };
+            prof.record_prim(sig, t0, live, bytes);
             self.pools[k].publish(v, &mut self.out);
         }
         prof.record_op("Fetch1Join", t_op, live);
@@ -621,7 +485,6 @@ impl FetchNJoinOp {
                 col: ci,
                 sig,
                 as_codes: false,
-                unchecked: false,
                 gs: GatherState::default(),
             });
             fields.push(OutField::new(alias.clone(), ty));
@@ -645,12 +508,6 @@ impl FetchNJoinOp {
             vector_size,
             done: false,
         })
-    }
-
-    /// Switch eligible fetch columns to their `_unchecked` gather twins
-    /// (see [`Fetch1JoinOp::set_unchecked`]).
-    pub fn set_unchecked(&mut self) {
-        set_unchecked_cols(&self.table, &mut self.fetch_cols);
     }
 
     /// Pull the next child batch and compute its expansion ranges.
@@ -740,9 +597,15 @@ impl Operator for FetchNJoinOp {
             let t0 = prof.start();
             let mut v = self.pools[self.child_arity + j].writable();
             let fc = &mut self.fetch_cols[j];
-            fetch_gather(&self.table, fc, &self.rowid_scratch, n, None, &mut v, prof);
+            let compressed =
+                fetch_gather(&self.table, fc, &self.rowid_scratch, n, None, &mut v, prof);
             let bytes = n * 4 + v.byte_size();
-            prof.record_prim(&fc.sig, t0, n, bytes);
+            let sig = if compressed {
+                COMPRESSED_GATHER
+            } else {
+                &fc.sig
+            };
+            prof.record_prim(sig, t0, n, bytes);
             self.pools[self.child_arity + j].publish(v, &mut self.out);
         }
         prof.record_op("FetchNJoin", t_op, n);

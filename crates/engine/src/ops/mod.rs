@@ -26,7 +26,7 @@ pub use aggr::{
     AggrPartial, DirectAggrOp, DirectKey, HashAggrOp, MergeAgg, MergeSpec, OrdAggrOp, PartialAcc,
 };
 pub use array::ArrayOp;
-pub use fetchjoin::{Fetch1JoinOp, FetchNJoinOp};
+pub use fetchjoin::{Fetch1JoinOp, FetchNJoinOp, COMPRESSED_GATHER};
 pub use join::{CartProdOp, HashJoinOp, HashJoinProbeOp, JoinBuildTable, JoinType};
 pub use parallel::MergeAggrOp;
 pub use project::ProjectOp;

@@ -433,18 +433,7 @@ impl Plan {
                         "code fetch from `{table}` requires a reorganized table"
                     )));
                 }
-                let mut op =
-                    Fetch1JoinOp::new(child, t.clone(), rowid, fetch, fetch_codes, vs, comp)?;
-                // Fetch-bounds sink: the analyzer proved every #rowId
-                // within the fragment, so eligible gathers dispatch the
-                // `_unchecked` kernel twins.
-                if opts.unchecked_fetch
-                    && ctx
-                        .plan_facts()
-                        .is_some_and(|f| f.fetch_proofs.get(&plan_key(self)) == Some(&true))
-                {
-                    op.set_unchecked();
-                }
+                let op = Fetch1JoinOp::new(child, t.clone(), rowid, fetch, fetch_codes, vs, comp)?;
                 dicts.extend(fetch.iter().map(|_| None));
                 dicts.extend(
                     fetch_codes
@@ -462,14 +451,7 @@ impl Plan {
             } => {
                 let (child, mut dicts) = input.bind_inner(db, opts, morsels, shared, ctx)?;
                 let t = db.table(table)?;
-                let mut op = FetchNJoinOp::new(child, t, lo, cnt, fetch, vs, comp)?;
-                if opts.unchecked_fetch
-                    && ctx
-                        .plan_facts()
-                        .is_some_and(|f| f.fetch_proofs.get(&plan_key(self)) == Some(&true))
-                {
-                    op.set_unchecked();
-                }
+                let op = FetchNJoinOp::new(child, t, lo, cnt, fetch, vs, comp)?;
                 dicts.extend(fetch.iter().map(|_| None));
                 Ok((Box::new(op), dicts))
             }

@@ -86,11 +86,6 @@ pub struct ExecOptions {
     /// the presence of the `X100_ENFORCE_FACTS` environment variable
     /// (the differential CI harness sets it).
     pub enforce_facts: bool,
-    /// Allow the binder to dispatch `_unchecked` gather twins where the
-    /// facts analyzer proves the fetch bounds ([`crate::facts`]).
-    /// `false` forces the checked kernels everywhere (ablation /
-    /// differential baseline).
-    pub unchecked_fetch: bool,
 }
 
 impl Default for ExecOptions {
@@ -112,7 +107,6 @@ impl Default for ExecOptions {
             fault_plan: None,
             panic_probe: None,
             enforce_facts: std::env::var_os("X100_ENFORCE_FACTS").is_some(),
-            unchecked_fetch: true,
         }
     }
 }
@@ -208,13 +202,6 @@ impl ExecOptions {
     /// (see [`ExecOptions::enforce_facts`]).
     pub fn with_enforce_facts(mut self, on: bool) -> Self {
         self.enforce_facts = on;
-        self
-    }
-
-    /// Enable or disable fact-proven `_unchecked` gather dispatch
-    /// (enabled by default; see [`ExecOptions::unchecked_fetch`]).
-    pub fn with_unchecked_fetch(mut self, on: bool) -> Self {
-        self.unchecked_fetch = on;
         self
     }
 

@@ -5,9 +5,8 @@
 //! random tables (raw and checkpoint-compressed, with delta inserts,
 //! deletes, and enum columns) and random plans, then check the executed
 //! output against the inferred facts: observed values inside the value
-//! range, observed row counts under `rows_max`, and — the sharp edge —
-//! that the `_unchecked` fetch twins never dispatch where the checked
-//! twin would have trapped.
+//! range, observed row counts under `rows_max`, and fetch-bounds proofs
+//! that hold exactly when no gathered `#rowId` can reach the delta.
 
 use proptest::prelude::*;
 use x100_engine::check_plan;
@@ -142,36 +141,40 @@ proptest! {
     }
 
     /// Fetch-bounds proofs: a star join where the foreign key provably
-    /// stays inside the dimension fragment must dispatch the
-    /// `_unchecked` twins and return byte-identical rows; any delta on
-    /// the dimension must defeat the proof (the twins read only the
-    /// checkpointed fragment).
+    /// stays inside the dimension fragment gets a `true` proof, and any
+    /// dimension insert the key can reach defeats it. Either way the
+    /// gathered `pay` is exactly the dimension row each key selects —
+    /// also under a selection whose vectors reach into the insert delta,
+    /// where the single-pass gather fails over to the slow path.
     #[test]
-    fn unchecked_fetch_sound_and_byte_identical(
+    fn fetch_proofs_sound_and_gathers_exact(
         dim_n in 4usize..200,
         fact_m in 1usize..400,
         dim_ins in 0usize..3,
         fact_ckpt in proptest::bool::ANY,
+        keep in 0i64..6,
     ) {
+        let pay_of = |r: usize| {
+            if r < dim_n {
+                keyed(r, -50, 900)
+            } else {
+                2000 + (r - dim_n) as i64
+            }
+        };
         let mut dim = TableBuilder::new("dim")
-            .column(
-                "pay",
-                ColumnData::I64((0..dim_n).map(|i| keyed(i, -50, 900)).collect()),
-            )
+            .column("pay", ColumnData::I64((0..dim_n).map(pay_of).collect()))
             .build();
         for i in 0..dim_ins {
-            dim.insert(&[Value::I64(2000 + i as i64)]);
+            dim.insert(&[Value::I64(pay_of(dim_n + i))]);
         }
         let total = dim_n + dim_ins;
+        let fk_of = |i: usize| (i * 31) % total;
         let mut facts_t = TableBuilder::new("facts")
             .column(
                 "fk",
-                ColumnData::U32((0..fact_m).map(|i| ((i * 31) % total) as u32).collect()),
+                ColumnData::U32((0..fact_m).map(|i| fk_of(i) as u32).collect()),
             )
-            .column(
-                "m",
-                ColumnData::F64((0..fact_m).map(|i| i as f64 * 0.25).collect()),
-            )
+            .column("s", ColumnData::I64((0..fact_m).map(|i| (i % 5) as i64).collect()))
             .build();
         if fact_ckpt {
             facts_t.checkpoint();
@@ -179,36 +182,40 @@ proptest! {
         let mut db = Database::new();
         db.register(dim);
         db.register(facts_t);
-        let plan = Plan::scan("facts", &["fk", "m"]).fetch1("dim", col("fk"), &[("pay", "pay")]);
+        let fetch = |p: Plan| p.fetch1("dim", col("fk"), &[("pay", "pay")]);
+        let plan = fetch(Plan::scan("facts", &["fk", "s"]));
 
-        let opts = ExecOptions::default().profiled();
+        let opts = ExecOptions::default();
         let facts = check_plan(&db, &plan, &opts).expect("check").facts;
         let proved = facts.fetch_proved(&plan);
         // Delta rows live outside the fragment, so any insert on the
         // dimension that the key can actually reach kills the proof.
-        let fk_max = (0..fact_m).map(|i| (i * 31) % total).max().unwrap_or(0);
+        let fk_max = (0..fact_m).map(fk_of).max().unwrap_or(0);
         if fk_max >= dim_n {
             prop_assert_eq!(proved, Some(false));
         } else {
             prop_assert_eq!(proved, Some(true));
         }
 
-        let (fast, fp) = execute(&db, &plan, &opts).expect("unchecked run");
-        let (slow, sp) = execute(
-            &db,
-            &plan,
-            &ExecOptions::default().profiled().with_unchecked_fetch(false),
-        )
-        .expect("checked run");
-        prop_assert_eq!(fast.row_strings(), slow.row_strings());
-        prop_assert_eq!(sp.counter("fetch_unchecked_dispatches"), None);
-        if proved == Some(true) && !fact_ckpt {
-            // Raw scan of a proven plan must actually take the twins.
-            prop_assert!(fp.counter("fetch_unchecked_dispatches").unwrap_or(0) > 0);
-        }
-        if proved != Some(true) {
-            prop_assert_eq!(fp.counter("fetch_unchecked_dispatches"), None);
-        }
+        // keep < 5 selects the rows with `s < keep` before the fetch.
+        let plan = if keep < 5 {
+            fetch(Plan::scan("facts", &["fk", "s"]).select(lt(col("s"), lit_i64(keep))))
+        } else {
+            plan
+        };
+        let (res, _) = execute(&db, &plan, &opts).expect("fetch run");
+        let want: Vec<(Value, Value)> = (0..fact_m)
+            .filter(|&i| ((i % 5) as i64) < keep)
+            .map(|i| (Value::U32(fk_of(i) as u32), Value::I64(pay_of(fk_of(i)))))
+            .collect();
+        let (fk_col, pay_col) = (
+            res.col_index("fk").expect("fk"),
+            res.col_index("pay").expect("pay"),
+        );
+        let got: Vec<(Value, Value)> = (0..res.num_rows())
+            .map(|r| (res.value(r, fk_col), res.value(r, pay_col)))
+            .collect();
+        prop_assert_eq!(got, want);
     }
 }
 
@@ -323,10 +330,10 @@ fn i32_overflow_widens_to_top() {
     assert_output_within_facts(&db, &safe);
 }
 
-/// The unchecked twins behave identically under parallel morsel
-/// execution — same proof, same bytes at every thread count.
+/// A proven fetch join returns the same bytes at every thread count
+/// under parallel morsel execution.
 #[test]
-fn unchecked_fetch_parallel_byte_identical() {
+fn fetch_join_parallel_byte_identical() {
     let dim = TableBuilder::new("dim")
         .column("pay", ColumnData::I64((0..1000).map(|i| i * 3).collect()))
         .build();
@@ -349,21 +356,20 @@ fn unchecked_fetch_parallel_byte_identical() {
             vec![],
             vec![AggExpr::sum("s", col("pay")), AggExpr::count("c")],
         );
-    let baseline = execute(
-        &db,
-        &plan,
-        &ExecOptions::default().with_unchecked_fetch(false),
-    )
-    .expect("checked")
-    .0
-    .row_strings();
+    let facts = check_plan(&db, &plan, &ExecOptions::default())
+        .expect("check")
+        .facts;
+    assert_eq!(
+        facts.fetch_proofs.values().copied().collect::<Vec<_>>(),
+        [true]
+    );
+    let baseline = execute(&db, &plan, &ExecOptions::default().parallel(1))
+        .expect("threads=1")
+        .0
+        .row_strings();
     for threads in [1, 2, 4, 8] {
-        let opts = ExecOptions::default().parallel(threads).profiled();
-        let (res, prof) = execute(&db, &plan, &opts).expect("parallel");
+        let opts = ExecOptions::default().parallel(threads);
+        let (res, _) = execute(&db, &plan, &opts).expect("parallel");
         assert_eq!(res.row_strings(), baseline, "threads={threads}");
-        assert!(
-            prof.counter("fetch_unchecked_dispatches").unwrap_or(0) > 0,
-            "threads={threads}: unchecked twins never dispatched"
-        );
     }
 }

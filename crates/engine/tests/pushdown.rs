@@ -9,7 +9,7 @@
 
 use x100_engine::check_plan;
 use x100_engine::expr::*;
-use x100_engine::ops::OrdExp;
+use x100_engine::ops::{OrdExp, COMPRESSED_GATHER};
 use x100_engine::plan::Plan;
 use x100_engine::session::{execute, Database, ExecOptions};
 use x100_engine::AggExpr;
@@ -340,6 +340,32 @@ mod star {
         let (got, prof) = execute(&star_db(true), &plan, &fused()).expect("compressed");
         assert_eq!(want.row_strings(), got.row_strings());
         assert!(prof.counter("fetch_compressed_gathers").unwrap_or(0) > 0);
+    }
+
+    /// Gathers served straight from compressed chunks are traced under
+    /// their own label, not as the raw kernel they bypass.
+    #[test]
+    fn compressed_gathers_traced_under_their_own_label() {
+        let plan = Plan::scan("facts", &["fk", "v"]).fetch1("dim", col("fk"), &[("val", "val")]);
+        let raw_kernel = "map_fetch_u32_col_i64_col";
+        assert!(x100_vector::parse_signature(COMPRESSED_GATHER).is_err());
+        let (_, raw) = execute(&star_db(false), &plan, &fused()).expect("raw");
+        assert!(raw.primitive(COMPRESSED_GATHER).is_none());
+        assert_eq!(
+            raw.primitive(raw_kernel).map(|t| t.tuples),
+            Some(ROWS as u64)
+        );
+        // Dense sorted rowids, all inside the checkpointed fragment.
+        let (_, packed) = execute(&star_db(true), &plan, &fused()).expect("compressed");
+        let traced = packed
+            .primitive(COMPRESSED_GATHER)
+            .expect("compressed label");
+        assert_eq!(traced.tuples, ROWS as u64);
+        assert_eq!(
+            Some(traced.calls),
+            packed.counter("fetch_compressed_gathers")
+        );
+        assert!(packed.primitive(raw_kernel).is_none());
     }
 
     #[test]

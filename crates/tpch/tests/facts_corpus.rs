@@ -2,7 +2,7 @@
 //! interpretation (`engine::facts`) must prove the fetch bounds of
 //! EVERY `Fetch1Join`/`FetchNJoin` in every query — zero false
 //! rejections — and every query must run identically with
-//! `--enforce-facts` on and the unchecked twins disabled.
+//! `--enforce-facts` on and off.
 
 use tpch::gen::{generate, GenConfig};
 use tpch::queries::{all_specs, QuerySpec};
@@ -32,8 +32,7 @@ fn corpus_plans(
 }
 
 /// Every fetch node in every TPC-H plan gets a `true` proof: the
-/// analyzer must never reject a bound it could have proven (the
-/// acceptance bar for dispatching the `_unchecked` twins suite-wide).
+/// analyzer must never reject a bound it could have proven.
 #[test]
 fn fetch_bounds_proven_for_entire_corpus() {
     let data = generate(&GenConfig { sf: 0.002, seed: 3 });
@@ -58,24 +57,21 @@ fn fetch_bounds_proven_for_entire_corpus() {
     );
 }
 
-/// `--enforce-facts` must be a no-op on well-formed plans, and the
-/// unchecked twins must not change a single output byte.
+/// `--enforce-facts` must be a no-op on well-formed plans.
 #[test]
-fn corpus_byte_identical_under_enforcement_and_ablation() {
+fn corpus_byte_identical_under_enforcement() {
     let data = generate(&GenConfig { sf: 0.002, seed: 3 });
     let db = tpch::build_x100_db(&data);
-    let baseline = ExecOptions::default().with_unchecked_fetch(false);
-    let enforced = ExecOptions::default().with_enforce_facts(true).profiled();
-    let mut dispatched = 0u64;
-    for (q, phase, plan) in corpus_plans(&db, &baseline) {
-        let (want, _) = execute(&db, &plan, &baseline).expect("checked run");
-        let (got, prof) = execute(&db, &plan, &enforced).expect("enforced run");
+    // The default without `X100_ENFORCE_FACTS` in the environment.
+    let lenient = ExecOptions::default().with_enforce_facts(false);
+    let enforced = ExecOptions::default().with_enforce_facts(true);
+    for (q, phase, plan) in corpus_plans(&db, &lenient) {
+        let (want, _) = execute(&db, &plan, &lenient).expect("default run");
+        let (got, _) = execute(&db, &plan, &enforced).expect("enforced run");
         assert_eq!(
             want.row_strings(),
             got.row_strings(),
-            "q{q}{phase}: unchecked twins changed the output"
+            "q{q}{phase}: enforcement changed the output"
         );
-        dispatched += prof.counter("fetch_unchecked_dispatches").unwrap_or(0);
     }
-    assert!(dispatched > 0, "no unchecked dispatches across the corpus");
 }

@@ -44,64 +44,34 @@ fetch_instance!(map_fetch_u32_col_u16_col, u16);
 fetch_instance!(map_fetch_u32_col_u32_col, u32);
 fetch_instance!(map_fetch_u32_col_f64_col, f64);
 
-/// Generic unchecked gather: `res[i] = base[idx[i]]` with no per-element
-/// bounds check — the `_unchecked` twin the engine dispatches when the
-/// facts analyzer proved every index within `base` (paper-style "on the
-/// metal" loops: no checks the compiler cannot hoist).
-///
-/// # Safety
-/// Every `idx` value read (all of `idx[..res.len()]` when `sel` is
-/// `None`, else `idx[i]` for each selected `i`) must be `< base.len()`,
-/// and under a selection every selected `i` must be `< res.len()` and
-/// `< idx.len()`. The engine only reaches this through a bind-time
-/// range proof (`engine::facts`); debug builds re-assert the contract.
+/// Single-pass bounds-checked gather: `res[i] = base[idx[i]]` at selected
+/// positions; `false` as soon as a selected index falls outside `base`.
+/// Unselected positions are never read, so an out-of-range index there
+/// is no failure. On `false`, `res` holds a partial gather the caller
+/// must overwrite (the engine redoes the vector on its delta-aware slow
+/// path), so no range scan has to precede the gather.
 #[inline]
-pub unsafe fn fetch_unchecked<T: Copy>(
-    res: &mut [T],
-    base: &[T],
-    idx: &[u32],
-    sel: Option<&SelVec>,
-) {
+pub fn try_fetch<T: Copy>(res: &mut [T], base: &[T], idx: &[u32], sel: Option<&SelVec>) -> bool {
     match sel {
         None => {
             for (r, &j) in res.iter_mut().zip(idx.iter()) {
-                debug_assert!((j as usize) < base.len());
-                *r = *base.get_unchecked(j as usize);
+                match base.get(j as usize) {
+                    Some(&v) => *r = v,
+                    None => return false,
+                }
             }
         }
         Some(sel) => {
             for i in sel.iter() {
-                debug_assert!(i < res.len() && i < idx.len());
-                let j = *idx.get_unchecked(i) as usize;
-                debug_assert!(j < base.len());
-                *res.get_unchecked_mut(i) = *base.get_unchecked(j);
+                match base.get(idx[i] as usize) {
+                    Some(&v) => res[i] = v,
+                    None => return false,
+                }
             }
         }
     }
+    true
 }
-
-macro_rules! fetch_unchecked_instance {
-    ($name:ident, $ty:ty) => {
-        /// Macro-generated unchecked fetch twin.
-        ///
-        /// # Safety
-        /// See [`fetch_unchecked`]: every gathered index must be within
-        /// `base`, as proven at bind time by `engine::facts`.
-        #[inline]
-        pub unsafe fn $name(res: &mut [$ty], base: &[$ty], idx: &[u32], sel: Option<&SelVec>) {
-            fetch_unchecked(res, base, idx, sel);
-        }
-    };
-}
-
-fetch_unchecked_instance!(map_fetch_u32_col_i8_col_unchecked, i8);
-fetch_unchecked_instance!(map_fetch_u32_col_i16_col_unchecked, i16);
-fetch_unchecked_instance!(map_fetch_u32_col_i32_col_unchecked, i32);
-fetch_unchecked_instance!(map_fetch_u32_col_i64_col_unchecked, i64);
-fetch_unchecked_instance!(map_fetch_u32_col_u8_col_unchecked, u8);
-fetch_unchecked_instance!(map_fetch_u32_col_u16_col_unchecked, u16);
-fetch_unchecked_instance!(map_fetch_u32_col_u32_col_unchecked, u32);
-fetch_unchecked_instance!(map_fetch_u32_col_f64_col_unchecked, f64);
 
 /// Gather via 1-byte enum codes: `res[i] = base[code[i]]`
 /// (the paper's `map_fetch_uchr_col_flt_col` for `f64` payloads).
@@ -187,26 +157,42 @@ mod tests {
     }
 
     #[test]
-    fn unchecked_twin_matches_checked_gather() {
+    fn try_fetch_in_range_equals_fetch() {
         let base = [10.0, 20.0, 30.0, 40.0];
-        let idx = [3, 0, 2];
-        let mut checked = [0.0; 3];
-        let mut unchecked = [0.0; 3];
-        map_fetch_u32_col_f64_col(&mut checked, &base, &idx, None);
-        // SAFETY: every index in `idx` is < base.len().
-        unsafe { map_fetch_u32_col_f64_col_unchecked(&mut unchecked, &base, &idx, None) };
-        assert_eq!(checked, unchecked);
+        let idx = [3, 0, 2, 3];
+        let mut want = [0.0; 4];
+        let mut got = [0.0; 4];
+        fetch(&mut want, &base, &idx, None);
+        assert!(try_fetch(&mut got, &base, &idx, None));
+        assert_eq!(got, want);
 
         let sel = SelVec::from_positions(vec![0, 2]);
-        let mut c2 = [-1i64; 3];
-        let mut u2 = [-1i64; 3];
-        let ibase = [10i64, 20, 30];
-        let idx2 = [2, 1, 0];
-        map_fetch_u32_col_i64_col(&mut c2, &ibase, &idx2, Some(&sel));
-        // SAFETY: every selected index in `idx2` is < ibase.len().
-        unsafe { map_fetch_u32_col_i64_col_unchecked(&mut u2, &ibase, &idx2, Some(&sel)) };
-        assert_eq!(c2[0], u2[0]);
-        assert_eq!(c2[2], u2[2]);
+        let mut want = [-1.0; 4];
+        let mut got = [-1.0; 4];
+        fetch(&mut want, &base, &idx, Some(&sel));
+        assert!(try_fetch(&mut got, &base, &idx, Some(&sel)));
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn try_fetch_fails_on_a_selected_out_of_range_index() {
+        let base = [10i64, 20, 30];
+        let mut res = [0i64; 3];
+        assert!(!try_fetch(&mut res, &base, &[0, 3, 1], None));
+        let sel = SelVec::from_positions(vec![0, 1]);
+        assert!(!try_fetch(&mut res, &base, &[2, 7, 0], Some(&sel)));
+        assert!(!try_fetch(&mut res, &[], &[0, 0, 0], Some(&sel)));
+        assert!(try_fetch(&mut [0i64; 0], &[], &[], None));
+    }
+
+    #[test]
+    fn try_fetch_ignores_an_unselected_out_of_range_index() {
+        let base = [10i64, 20, 30];
+        let idx = [2, 99, 0];
+        let sel = SelVec::from_positions(vec![0, 2]);
+        let mut res = [-1i64; 3];
+        assert!(try_fetch(&mut res, &base, &idx, Some(&sel)));
+        assert_eq!(res, [30, -1, 10]);
     }
 
     #[test]
