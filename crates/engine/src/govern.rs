@@ -92,8 +92,7 @@ pub struct QueryContext {
     /// Facts the bind-time analyzer proved for this query's plan
     /// ([`crate::facts::PlanFacts`]), set once between `check_plan` and
     /// binding. The selection-folding sink reads it; unset means no
-    /// proofs (e.g. a bare `bind_governed` without a prior check) and
-    /// every predicate is evaluated.
+    /// proofs and every predicate is evaluated.
     plan_facts: std::sync::OnceLock<crate::facts::PlanFacts>,
 }
 

@@ -13,11 +13,13 @@
 use crate::batch::{Batch, OutField, VecPool};
 use crate::compile::ExprProg;
 use crate::expr::Expr;
+use crate::govern::QueryContext;
+use crate::ops::chunks::ChunkReader;
 use crate::ops::{push_from, Operator};
 use crate::profile::Profiler;
 use crate::PlanError;
 use std::sync::Arc;
-use x100_storage::{ColumnData, DecodeCursor, Table};
+use x100_storage::{ColumnData, Table};
 use x100_vector::{fetch as vfetch, ScalarType, SelVec, StrVec, Vector};
 
 /// A column to fetch from the target table.
@@ -28,17 +30,8 @@ struct FetchCol {
     sig: String,
     /// Fetch raw enum codes instead of decoded values.
     as_codes: bool,
-    /// Reused scratch for gathering straight from compressed chunks.
-    gs: GatherState,
-}
-
-/// Per-fetch-column decode scratch: the PFOR-DELTA sync-point replay
-/// buffer, the chunk-local position list, and the checksum cursor.
-#[derive(Default)]
-struct GatherState {
-    scratch: Vec<u64>,
-    tmp: Vec<u32>,
-    cursor: DecodeCursor,
+    /// Reader for gathering straight from compressed chunks.
+    chunks: ChunkReader,
 }
 
 /// Trace label of a gather served straight from compressed chunks. It
@@ -46,48 +39,52 @@ struct GatherState {
 /// the column's codec did (see `CompressedColumn::gather`).
 pub const COMPRESSED_GATHER: &str = "fetch_compressed_gather";
 
-/// Positional fetch with the compressed fast path: dense (unselected)
-/// rowid vectors against a checkpointed fragment column gather directly
-/// from the packed chunks — PFOR-DELTA `#rowId` columns seek from the
-/// nearest sync point instead of decoding whole chunks. Falls back to
-/// the raw fragment on any decode error (torn chunk), counting a
-/// recovery. Returns whether the compressed chunks served the vector.
-fn fetch_gather(
-    table: &Table,
-    fc: &mut FetchCol,
-    rowids: &[u32],
-    n: usize,
-    sel: Option<&SelVec>,
-    out: &mut Vector,
-    prof: &mut Profiler,
-) -> bool {
-    let sc = table.column(fc.col);
-    if let Some(cc) = sc.compressed() {
-        let frag_rows = table.fragment_rows() as u32;
-        if sel.is_none()
-            && (fc.as_codes || sc.dict().is_none())
-            && rowids[..n].iter().all(|&r| r < frag_rows)
-        {
-            match cc.gather(
-                &rowids[..n],
-                out,
-                &mut fc.gs.scratch,
-                &mut fc.gs.tmp,
-                &mut fc.gs.cursor,
-            ) {
-                Ok(()) => {
-                    prof.add_counter("fetch_compressed_gathers", 1);
-                    return true;
-                }
-                Err(_) => {
-                    prof.add_counter("decode_recoveries", 1);
-                    fc.gs.cursor = DecodeCursor::default();
-                }
-            }
+impl FetchCol {
+    fn new(col: usize, ty: ScalarType, as_codes: bool) -> Self {
+        FetchCol {
+            col,
+            sig: format!("map_fetch_u32_col_{}_col", ty.sig_name()),
+            as_codes,
+            chunks: ChunkReader::new(col),
         }
     }
-    gather_positional(table, fc.col, fc.as_codes, &rowids[..n], sel, out);
-    false
+
+    /// Positional fetch with the compressed fast path: dense
+    /// (unselected) rowid vectors against a checkpointed fragment
+    /// column gather directly from the packed chunks — PFOR-DELTA
+    /// `#rowId` columns seek from the nearest sync point instead of
+    /// decoding whole chunks. The gather takes the recovery ladder every
+    /// compressed read shares ([`ChunkReader::read`]): a torn chunk
+    /// heals from a durable replica, else the raw fragment serves the
+    /// vector, else a typed `Io`. Returns the trace signature of what
+    /// served the vector.
+    fn gather(
+        &mut self,
+        table: &Table,
+        rowids: &[u32],
+        sel: Option<&SelVec>,
+        out: &mut Vector,
+        ctx: &QueryContext,
+        prof: &mut Profiler,
+    ) -> Result<&str, PlanError> {
+        let sc = table.column(self.col);
+        let frag_rows = table.fragment_rows() as u32;
+        if sc.compressed().is_some()
+            && sel.is_none()
+            && (self.as_codes || sc.dict().is_none())
+            && rowids.iter().all(|&r| r < frag_rows)
+        {
+            let gathered = self.chunks.read(table, ctx, prof, |cc, s| {
+                cc.gather(rowids, out, &mut s.frames, &mut s.pos, &mut s.cursor)
+            })?;
+            if gathered.is_some() {
+                prof.add_counter("fetch_compressed_gathers", 1);
+                return Ok(COMPRESSED_GATHER);
+            }
+        }
+        gather_positional(table, self.col, self.as_codes, rowids, sel, out);
+        Ok(&self.sig)
+    }
 }
 
 /// Fetch `table[rowids[i]].col` positionally into `out` under `sel`:
@@ -104,7 +101,11 @@ fn gather_positional(
     out: &mut Vector,
 ) {
     let sc = table.column(col);
-    out.resize_zeroed(rowids.len());
+    // String gathers rebuild their output; fixed-width ones (and the
+    // selected slow path's `set_value_at`) write in place.
+    if out.scalar_type() != ScalarType::Str {
+        out.resize_zeroed(rowids.len());
+    }
     // Code fetch: gather the physical code column directly.
     let dict = if as_codes { None } else { sc.dict() };
     let in_frag = match (dict, sc.physical()) {
@@ -290,12 +291,14 @@ pub struct Fetch1JoinOp {
     pools: Vec<VecPool>,
     rowid_buf: Vec<u32>,
     out: Batch,
+    ctx: Arc<QueryContext>,
 }
 
 impl Fetch1JoinOp {
     /// Bind: `rowid_expr` must produce `u32` row ids (a join-index
     /// column or an enum code widened to `u32`). `fetch_codes` columns
     /// must be enum-typed and are gathered as raw codes.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         child: Box<dyn Operator>,
         table: Arc<Table>,
@@ -304,6 +307,7 @@ impl Fetch1JoinOp {
         fetch_codes: &[(String, String)],
         vector_size: usize,
         compound: bool,
+        ctx: Arc<QueryContext>,
     ) -> Result<Self, PlanError> {
         let raw = ExprProg::compile(rowid_expr, child.fields(), vector_size, compound)?;
         let rowid_prog = if raw.result_type() == ScalarType::U32 {
@@ -328,15 +332,8 @@ impl Fetch1JoinOp {
             let ci = table
                 .column_index(src)
                 .ok_or_else(|| PlanError::UnknownColumn(format!("{}.{}", table.name(), src)))?;
-            let sc = table.column(ci);
-            let ty = sc.field().logical;
-            let sig = format!("map_fetch_u32_col_{}_col", ty.sig_name());
-            fetch_cols.push(FetchCol {
-                col: ci,
-                sig,
-                as_codes: false,
-                gs: GatherState::default(),
-            });
+            let ty = table.column(ci).field().logical;
+            fetch_cols.push(FetchCol::new(ci, ty, false));
             fields.push(OutField::new(alias.clone(), ty));
             pools.push(VecPool::new(ty, vector_size));
         }
@@ -351,13 +348,7 @@ impl Fetch1JoinOp {
                 )));
             }
             let ty = sc.physical_type();
-            let sig = format!("map_fetch_u32_col_{}_col", ty.sig_name());
-            fetch_cols.push(FetchCol {
-                col: ci,
-                sig,
-                as_codes: true,
-                gs: GatherState::default(),
-            });
+            fetch_cols.push(FetchCol::new(ci, ty, true));
             fields.push(OutField::new(alias.clone(), ty));
             pools.push(VecPool::new(ty, vector_size));
         }
@@ -370,6 +361,7 @@ impl Fetch1JoinOp {
             pools,
             rowid_buf: Vec::new(),
             out: Batch::new(),
+            ctx,
         })
     }
 }
@@ -399,15 +391,10 @@ impl Operator for Fetch1JoinOp {
         for k in 0..self.fetch_cols.len() {
             let t0 = prof.start();
             let mut v = self.pools[k].writable();
-            let fc = &mut self.fetch_cols[k];
-            let compressed = fetch_gather(&self.table, fc, &self.rowid_buf, n, sel, &mut v, prof);
-            let bytes = live * 4 + v.byte_size();
-            let sig = if compressed {
-                COMPRESSED_GATHER
-            } else {
-                &fc.sig
-            };
-            prof.record_prim(sig, t0, live, bytes);
+            let rowids = &self.rowid_buf[..n];
+            let sig =
+                self.fetch_cols[k].gather(&self.table, rowids, sel, &mut v, &self.ctx, prof)?;
+            prof.record_prim(sig, t0, live, live * 4 + v.byte_size());
             self.pools[k].publish(v, &mut self.out);
         }
         prof.record_op("Fetch1Join", t_op, live);
@@ -442,10 +429,12 @@ pub struct FetchNJoinOp {
     out: Batch,
     vector_size: usize,
     done: bool,
+    ctx: Arc<QueryContext>,
 }
 
 impl FetchNJoinOp {
     /// Bind: `lo` and `cnt` produce the `#rowId` range `[lo, lo+cnt)`.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         child: Box<dyn Operator>,
         table: Arc<Table>,
@@ -454,6 +443,7 @@ impl FetchNJoinOp {
         fetch: &[(String, String)],
         vector_size: usize,
         compound: bool,
+        ctx: Arc<QueryContext>,
     ) -> Result<Self, PlanError> {
         let mk_u32 = |e: &Expr, child: &dyn Operator| -> Result<ExprProg, PlanError> {
             let raw = ExprProg::compile(e, child.fields(), vector_size, compound)?;
@@ -480,13 +470,7 @@ impl FetchNJoinOp {
                 .column_index(src)
                 .ok_or_else(|| PlanError::UnknownColumn(format!("{}.{}", table.name(), src)))?;
             let ty = table.column(ci).field().logical;
-            let sig = format!("map_fetch_u32_col_{}_col", ty.sig_name());
-            fetch_cols.push(FetchCol {
-                col: ci,
-                sig,
-                as_codes: false,
-                gs: GatherState::default(),
-            });
+            fetch_cols.push(FetchCol::new(ci, ty, false));
             fields.push(OutField::new(alias.clone(), ty));
             pools.push(VecPool::new(ty, vector_size));
         }
@@ -507,6 +491,7 @@ impl FetchNJoinOp {
             out: Batch::new(),
             vector_size,
             done: false,
+            ctx,
         })
     }
 
@@ -596,16 +581,10 @@ impl Operator for FetchNJoinOp {
         for j in 0..self.fetch_cols.len() {
             let t0 = prof.start();
             let mut v = self.pools[self.child_arity + j].writable();
-            let fc = &mut self.fetch_cols[j];
-            let compressed =
-                fetch_gather(&self.table, fc, &self.rowid_scratch, n, None, &mut v, prof);
-            let bytes = n * 4 + v.byte_size();
-            let sig = if compressed {
-                COMPRESSED_GATHER
-            } else {
-                &fc.sig
-            };
-            prof.record_prim(sig, t0, n, bytes);
+            let rowids = &self.rowid_scratch;
+            let sig =
+                self.fetch_cols[j].gather(&self.table, rowids, None, &mut v, &self.ctx, prof)?;
+            prof.record_prim(sig, t0, n, n * 4 + v.byte_size());
             self.pools[self.child_arity + j].publish(v, &mut self.out);
         }
         prof.record_op("FetchNJoin", t_op, n);

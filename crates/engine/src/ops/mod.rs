@@ -14,6 +14,7 @@ use x100_vector::Vector;
 
 mod aggr;
 mod array;
+mod chunks;
 mod fetchjoin;
 mod join;
 pub(crate) mod parallel;

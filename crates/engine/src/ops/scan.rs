@@ -8,17 +8,22 @@
 //! `map_fetch_uchr_col_*` primitive rows (§4.3, Table 5) — unless the
 //! plan requests raw codes (direct aggregation groups on codes).
 //!
-//! The scan also consults the table's delta structures: deleted rows are
-//! masked via the batch selection vector, and insert-delta rows are
-//! appended after the fragments.
+//! The scan walks one list of morsels (row ranges): a full scan is the
+//! whole (possibly pruned) fragment range followed by the insert delta,
+//! a parallel worker gets its disjoint share. Deleted rows are masked
+//! via the batch selection vector. Checkpoint-compressed columns are
+//! read through [`ChunkReader`], the one recovery ladder every
+//! compressed read shares (in-memory chunks, durable-replica heal, raw
+//! fragment, typed `Io`).
 
 use crate::batch::{Batch, OutField, SelPool, VecPool};
 use crate::govern::{MemTracker, QueryContext};
+use crate::ops::chunks::ChunkReader;
 use crate::ops::Operator;
 use crate::profile::Profiler;
 use crate::PlanError;
 use std::sync::Arc;
-use x100_storage::{ColumnBM, ColumnData, DecodeCursor, Morsel, PushOp, Pushdown, Table};
+use x100_storage::{ColumnBM, ColumnData, Morsel, PushOp, Pushdown, Table};
 use x100_vector::{Value, Vector};
 
 /// How one scanned column is produced.
@@ -32,22 +37,6 @@ enum ColMode {
     Codes,
 }
 
-/// Per-column state for a checkpoint-compressed fragment column:
-/// decode-on-refill replaces the raw `read_into` memcpy, keeping
-/// decompression inside the CPU cache at vector granularity (§5).
-struct CompState {
-    /// Sequential decode position (PFOR-DELTA continuation carry).
-    cursor: DecodeCursor,
-    /// Reused frame buffer; its bytes are charged to the governor.
-    scratch: Vec<u64>,
-    /// Registered decompress primitive this column resolves to.
-    sig: &'static str,
-    /// Verified replacement chunks healed from a durable-store replica
-    /// after the in-memory copy failed its checksum; once set, every
-    /// later refill of this column decodes from the healed copy.
-    healed: Option<Arc<x100_storage::CompressedColumn>>,
-}
-
 /// A predicate pushed into the compressed scan (the fused
 /// `CompressedScanSelect` refill path): the comparison runs in encoded
 /// space over the packed lanes before anything is decoded, and only
@@ -59,8 +48,6 @@ struct PushSpec {
     p: Pushdown,
     /// Window-relative surviving positions of the current vector.
     sel: Vec<u32>,
-    /// Per-chunk scratch shared by the selective-decode kernels.
-    tmp: Vec<u32>,
     /// Absolute-rowid scratch for PFOR-DELTA co-column seeks.
     abs: Vec<u32>,
     /// Whether the one-time dictionary-rewrite counter fired.
@@ -76,21 +63,17 @@ pub struct ScanOp {
     pools: Vec<VecPool>,
     sel_pool: SelPool,
     out: Batch,
-    /// Fragment row range to scan (possibly pruned by a summary index).
-    range: (usize, usize),
-    pos: usize,
-    delta_pos: usize,
-    /// Morsel mode: scan only these row ranges (parallel workers get
-    /// disjoint subsets). `None` scans `range` + the whole delta.
-    morsels: Option<Vec<Morsel>>,
+    /// The row ranges to scan, in order; `mcur`/`moff` is the cursor.
+    morsels: Vec<Morsel>,
     mcur: usize,
     moff: usize,
     vector_size: usize,
     scratch_del: Vec<u32>,
     scratch_reads: Vec<(usize, u64, u64)>,
-    /// Decode state per scanned column; `Some` iff the column was
-    /// rewritten as compressed chunks by `Table::checkpoint`.
-    comp: Vec<Option<CompState>>,
+    /// Decode-on-refill reader per scanned column; `Some` iff the
+    /// column was rewritten as compressed chunks by `Table::checkpoint`.
+    /// Decompression stays inside the CPU cache at vector granularity.
+    comp: Vec<Option<ChunkReader>>,
     /// Fused predicate pushdown; `Some` turns fragment refills into the
     /// `CompressedScanSelect` path (encoded-space select, lazy decode).
     push: Option<PushSpec>,
@@ -104,63 +87,16 @@ pub struct ScanOp {
 }
 
 impl ScanOp {
-    /// Build a scan of `col_names` over `table`.
+    /// Build a scan of `col_names` over `table`, restricted to
+    /// `morsels` (`x100_storage::plan_morsels` builds the list for a
+    /// whole or summary-pruned range).
     ///
-    /// `code_cols` lists enum columns to surface as raw codes;
-    /// `range` restricts the fragment rows scanned (summary-index
-    /// pruning); `None` scans everything.
+    /// `code_cols` lists enum columns to surface as raw codes.
     pub fn new(
         table: Arc<Table>,
         col_names: &[&str],
         code_cols: &[&str],
-        range: Option<(usize, usize)>,
-        vector_size: usize,
-        bm: Option<Arc<ColumnBM>>,
-        ctx: Arc<QueryContext>,
-    ) -> Result<Self, crate::PlanError> {
-        Self::build(
-            table,
-            col_names,
-            code_cols,
-            range,
-            None,
-            vector_size,
-            bm,
-            ctx,
-        )
-    }
-
-    /// Build a scan restricted to `morsels` (disjoint row ranges handed
-    /// to one parallel worker). `range`/delta iteration is replaced by
-    /// the morsel list; everything else matches [`ScanOp::new`].
-    pub fn with_morsels(
-        table: Arc<Table>,
-        col_names: &[&str],
-        code_cols: &[&str],
         morsels: Vec<Morsel>,
-        vector_size: usize,
-        bm: Option<Arc<ColumnBM>>,
-        ctx: Arc<QueryContext>,
-    ) -> Result<Self, crate::PlanError> {
-        Self::build(
-            table,
-            col_names,
-            code_cols,
-            None,
-            Some(morsels),
-            vector_size,
-            bm,
-            ctx,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        table: Arc<Table>,
-        col_names: &[&str],
-        code_cols: &[&str],
-        range: Option<(usize, usize)>,
-        morsels: Option<Vec<Morsel>>,
         vector_size: usize,
         bm: Option<Arc<ColumnBM>>,
         ctx: Arc<QueryContext>,
@@ -212,25 +148,13 @@ impl ScanOp {
                 )));
             }
         }
-        let frag = table.fragment_rows();
-        let range = match range {
-            None => (0, frag),
-            Some((s, e)) => (s.min(frag), e.min(frag)),
-        };
         // Decode-on-refill state for compressed columns. The scratch
         // frame buffers are a real allocation the query keeps for its
         // lifetime, so charge them up front (worst case: one vector of
         // u64 frames plus a sync-interval replay window per column).
-        let comp: Vec<Option<CompState>> = cols
+        let comp: Vec<Option<ChunkReader>> = cols
             .iter()
-            .map(|&ci| {
-                table.column(ci).compressed().map(|cc| CompState {
-                    cursor: DecodeCursor::default(),
-                    scratch: Vec::new(),
-                    sig: cc.decode_sig(),
-                    healed: None,
-                })
-            })
+            .map(|&ci| table.column(ci).compressed().map(|_| ChunkReader::new(ci)))
             .collect();
         let n_comp = comp.iter().filter(|c| c.is_some()).count();
         let mem = if n_comp > 0 {
@@ -248,9 +172,6 @@ impl ScanOp {
             pools,
             sel_pool: SelPool::default(),
             out: Batch::new(),
-            range,
-            pos: range.0,
-            delta_pos: 0,
             morsels,
             mcur: 0,
             moff: 0,
@@ -285,7 +206,6 @@ impl ScanOp {
             k,
             p,
             sel: Vec::new(),
-            tmp: Vec::new(),
             abs: Vec::new(),
             counted: false,
         });
@@ -302,6 +222,22 @@ impl ScanOp {
                     unrecoverable: false,
                     detail: e.to_string(),
                 })?;
+        }
+        Ok(())
+    }
+
+    /// Charge the governor for what the decode scratch buffers grew to
+    /// (PFOR-DELTA sync replay can extend them past one vector), plus
+    /// `extra` bytes of pushdown scratch.
+    fn charge_scratch(&mut self, extra: usize) -> Result<(), PlanError> {
+        if let Some(mem) = &mut self.mem {
+            let total: usize = self
+                .comp
+                .iter()
+                .flatten()
+                .map(ChunkReader::scratch_bytes)
+                .sum();
+            mem.ensure(total + extra)?;
         }
         Ok(())
     }
@@ -324,7 +260,6 @@ impl ScanOp {
         self.out.reset();
         self.out.len = n;
         let t_scan = prof.start();
-        let mut scan_bytes = 0usize;
         // Decode-on-refill accounting across all compressed columns in
         // this fragment (raw-equivalent bytes, compressed bytes touched,
         // exception patches applied).
@@ -334,195 +269,71 @@ impl ScanOp {
         // Column reads to route through the buffer manager; collected
         // so the fallible I/O happens outside the &mut modes borrow.
         let mut reads: Vec<(usize, u64, u64)> = Vec::with_capacity(self.cols.len());
-        // Plain/code reads first (the "Scan" operator's own work).
+        // Plain/code reads first (the "Scan" operator's own work); enum
+        // columns read their codes here and decode in a second pass.
         for (k, &ci) in self.cols.iter().enumerate() {
             let sc = self.table.column(ci);
-            let cs = &mut self.comp[k];
+            let reader = &mut self.comp[k];
             // Compressed chunk reads are their own fault-injection site.
-            if cs.is_some() {
+            if reader.is_some() {
                 if let Some(fs) = self.ctx.fault_state() {
                     fs.check_site(x100_storage::FaultSite::CompressedRead, ci as u32)
                         .map_err(site_io)?;
                 }
             }
-            match &mut self.modes[k] {
-                ColMode::Plain | ColMode::Codes => {
-                    // Dense decode overwrites every position, so the
-                    // recycled vector can skip its clear + re-zero pass.
-                    let mut v = if cs.is_some() {
-                        self.pools[k].writable_dirty()
-                    } else {
-                        self.pools[k].writable()
-                    };
-                    if let Some(cs) = cs {
-                        let healed_cc = cs.healed.clone();
-                        let cc: &x100_storage::CompressedColumn = match healed_cc.as_deref() {
-                            Some(h) => h,
-                            None => sc
-                                .compressed()
-                                .expect("CompState without compressed column"),
-                        };
-                        let t0 = prof.start();
-                        let mut res =
-                            cc.decode_range(start, n, &mut v, &mut cs.cursor, &mut cs.scratch);
-                        // Heal ladder: a checksum mismatch (torn chunk
-                        // write) first tries the durable store's disk
-                        // replica — a verified copy restores compressed
-                        // refills for the rest of the query.
-                        if res.is_err() && cs.healed.is_none() {
-                            if let Some(hc) = try_heal(&self.table, &self.ctx, prof, ci as u32) {
-                                cs.cursor = DecodeCursor::default();
-                                res = hc.decode_range(
-                                    start,
-                                    n,
-                                    &mut v,
-                                    &mut cs.cursor,
-                                    &mut cs.scratch,
-                                );
-                                if res.is_ok() {
-                                    cs.healed = Some(hc);
-                                }
-                            }
-                        }
-                        match res {
-                            Ok(st) => {
-                                prof.record_prim(
-                                    cs.sig,
-                                    t0,
-                                    n,
-                                    st.comp_len as usize + v.byte_size(),
-                                );
-                                prof.max_counter("compress_ratio", cc.ratio_pct());
-                                dec_raw += v.byte_size() as u64;
-                                dec_comp += st.comp_len;
-                                dec_exc += st.exceptions;
-                                reads.push((ci, st.comp_offset, st.comp_len));
-                            }
-                            Err(_) => {
-                                // No replica could serve the rows: the
-                                // raw fragment is retained and intact,
-                                // so recover from it — wrong rows must
-                                // never escape a torn chunk. The
-                                // fallback is itself a faultable chunk
-                                // read: both failing at once is the
-                                // double-fault case, with no copy left
-                                // to serve the rows.
-                                if let Some(fs) = self.ctx.fault_state() {
-                                    fs.check_site(x100_storage::FaultSite::ChunkRead, ci as u32)
-                                        .map_err(|e| double_fault(ci as u32, e))?;
-                                }
-                                prof.add_counter("decode_recoveries", 1);
-                                cs.cursor = DecodeCursor::default();
-                                sc.physical().read_into(start, n, &mut v);
-                                reads.push((
-                                    ci,
-                                    (start * sc.physical_type().width()) as u64,
-                                    v.byte_size() as u64,
-                                ));
-                            }
-                        }
-                    } else {
-                        sc.physical().read_into(start, n, &mut v);
-                        reads.push((
-                            ci,
-                            (start * sc.physical_type().width()) as u64,
-                            v.byte_size() as u64,
-                        ));
-                    }
-                    scan_bytes += v.byte_size();
-                    self.pools[k].publish(v, &mut self.out);
+            let mut pooled = None;
+            let dst: &mut Vector = match &mut self.modes[k] {
+                ColMode::Decode { codes, .. } => codes,
+                // Dense decode overwrites every position, so the
+                // recycled vector can skip its clear + re-zero pass.
+                ColMode::Plain | ColMode::Codes if reader.is_some() => {
+                    pooled.insert(self.pools[k].writable_dirty())
                 }
-                ColMode::Decode { codes, .. } => {
-                    // Read raw codes now; decode in a second pass so the
-                    // fetch cost is attributed to Fetch1Join(ENUM).
-                    if let Some(cs) = cs {
-                        let healed_cc = cs.healed.clone();
-                        let cc: &x100_storage::CompressedColumn = match healed_cc.as_deref() {
-                            Some(h) => h,
-                            None => sc
-                                .compressed()
-                                .expect("CompState without compressed column"),
-                        };
-                        let t0 = prof.start();
-                        let mut res =
-                            cc.decode_range(start, n, codes, &mut cs.cursor, &mut cs.scratch);
-                        if res.is_err() && cs.healed.is_none() {
-                            if let Some(hc) = try_heal(&self.table, &self.ctx, prof, ci as u32) {
-                                cs.cursor = DecodeCursor::default();
-                                res = hc.decode_range(
-                                    start,
-                                    n,
-                                    codes,
-                                    &mut cs.cursor,
-                                    &mut cs.scratch,
-                                );
-                                if res.is_ok() {
-                                    cs.healed = Some(hc);
-                                }
-                            }
-                        }
-                        match res {
-                            Ok(st) => {
-                                prof.record_prim(
-                                    cs.sig,
-                                    t0,
-                                    n,
-                                    st.comp_len as usize + codes.byte_size(),
-                                );
-                                prof.max_counter("compress_ratio", cc.ratio_pct());
-                                dec_raw += codes.byte_size() as u64;
-                                dec_comp += st.comp_len;
-                                dec_exc += st.exceptions;
-                                reads.push((ci, st.comp_offset, st.comp_len));
-                            }
-                            Err(_) => {
-                                if let Some(fs) = self.ctx.fault_state() {
-                                    fs.check_site(x100_storage::FaultSite::ChunkRead, ci as u32)
-                                        .map_err(|e| double_fault(ci as u32, e))?;
-                                }
-                                prof.add_counter("decode_recoveries", 1);
-                                cs.cursor = DecodeCursor::default();
-                                sc.physical().read_into(start, n, codes);
-                                reads.push((
-                                    ci,
-                                    (start * sc.physical_type().width()) as u64,
-                                    codes.byte_size() as u64,
-                                ));
-                            }
-                        }
-                    } else {
-                        sc.physical().read_into(start, n, codes);
-                        reads.push((
-                            ci,
-                            (start * sc.physical_type().width()) as u64,
-                            codes.byte_size() as u64,
-                        ));
-                    }
-                    scan_bytes += codes.byte_size();
-                    // Placeholder slot; replaced by the decode pass below.
-                    self.out.columns.push(self.placeholder.clone());
+                ColMode::Plain | ColMode::Codes => pooled.insert(self.pools[k].writable()),
+            };
+            let t0 = prof.start();
+            let decoded = match reader {
+                Some(r) => r.read(&self.table, &self.ctx, prof, |cc, s| {
+                    cc.decode_range(start, n, dst, &mut s.cursor, &mut s.frames)
+                })?,
+                None => None,
+            };
+            match (decoded, sc.compressed()) {
+                (Some(st), Some(cc)) => {
+                    prof.record_prim(
+                        cc.decode_sig(),
+                        t0,
+                        n,
+                        st.comp_len as usize + dst.byte_size(),
+                    );
+                    prof.max_counter("compress_ratio", cc.ratio_pct());
+                    dec_raw += dst.byte_size() as u64;
+                    dec_comp += st.comp_len;
+                    dec_exc += st.exceptions;
+                    reads.push((ci, st.comp_offset, st.comp_len));
                 }
+                _ => {
+                    sc.physical().read_into(start, n, dst);
+                    reads.push((
+                        ci,
+                        (start * sc.physical_type().width()) as u64,
+                        dst.byte_size() as u64,
+                    ));
+                }
+            }
+            match pooled {
+                Some(v) => self.pools[k].publish(v, &mut self.out),
+                // Placeholder slot; replaced by the decode pass below.
+                None => self.out.columns.push(self.placeholder.clone()),
             }
         }
         prof.record_op("Scan", t_scan, n);
-        let _ = scan_bytes;
         if dec_raw > 0 {
             prof.add_counter("scan_bytes_raw", dec_raw);
             prof.add_counter("scan_bytes_compressed", dec_comp);
             prof.add_counter("decode_exceptions", dec_exc);
         }
-        // Re-check the governor charge against what the decode scratch
-        // buffers actually grew to (PFOR-DELTA sync replay can extend
-        // them past one vector).
-        if let Some(mem) = &mut self.mem {
-            let total: usize = self
-                .comp
-                .iter()
-                .flatten()
-                .map(|cs| cs.scratch.capacity() * std::mem::size_of::<u64>())
-                .sum();
-            mem.ensure(total)?;
-        }
+        self.charge_scratch(0)?;
         for (ci, offset, len) in reads {
             self.bm_read(ci, offset, len)?;
         }
@@ -597,49 +408,24 @@ impl ScanOp {
                 .map_err(site_io)?;
         }
         let sc_p = self.table.column(ci_p);
-        let cs_p = self.comp[kp].as_mut().expect("pushdown without CompState");
-        let healed_p = cs_p.healed.clone();
-        let cc_p: &x100_storage::CompressedColumn = match healed_p.as_deref() {
-            Some(h) => h,
-            None => sc_p.compressed().expect("pushdown on uncompressed column"),
-        };
+        let cc_p = sc_p.compressed().expect("pushdown on uncompressed column");
+        let reader = self.comp[kp]
+            .as_mut()
+            .expect("pushdown without ChunkReader");
         let t0 = prof.start();
-        ps.sel.clear();
-        let mut recovered = false;
-        let mut res =
-            cc_p.select_range(&ps.p, start, n, &mut ps.sel, &mut ps.tmp, &mut cs_p.cursor);
-        // Heal ladder: retry the encoded-space select over a verified
-        // disk-replica copy before dropping to value space.
-        if res.is_err() && cs_p.healed.is_none() {
-            if let Some(hc) = try_heal(&self.table, &self.ctx, prof, ci_p as u32) {
-                cs_p.cursor = DecodeCursor::default();
-                ps.sel.clear();
-                res = hc.select_range(&ps.p, start, n, &mut ps.sel, &mut ps.tmp, &mut cs_p.cursor);
-                if res.is_ok() {
-                    cs_p.healed = Some(hc);
-                }
-            }
-        }
-        match res {
-            Ok(()) => {
-                prof.record_prim(ps.p.sig(), t0, n, n * sc_p.physical_type().width());
-            }
-            Err(_) => {
-                // Torn chunk with no replica to serve it: recover by
-                // filtering the retained raw fragment in value space —
-                // identical survivors, no wrong rows, one counter tick.
-                // A fault on the fallback read too is the unrecoverable
-                // double-fault case.
-                if let Some(fs) = self.ctx.fault_state() {
-                    fs.check_site(x100_storage::FaultSite::ChunkRead, ci_p as u32)
-                        .map_err(|e| double_fault(ci_p as u32, e))?;
-                }
-                prof.add_counter("decode_recoveries", 1);
-                cs_p.cursor = DecodeCursor::default();
-                recovered = true;
-                ps.sel.clear();
-                raw_filter(sc_p.physical(), start, n, &ps.p, &mut ps.sel);
-            }
+        let selected = reader.read(&self.table, &self.ctx, prof, |cc, s| {
+            ps.sel.clear();
+            cc.select_range(&ps.p, start, n, &mut ps.sel, &mut s.pos, &mut s.cursor)
+        })?;
+        // With no intact chunks left, filter the retained raw fragment
+        // in value space (identical survivors); the payload columns
+        // then gather from the raw fragment too.
+        let recovered = selected.is_none();
+        if recovered {
+            ps.sel.clear();
+            raw_filter(sc_p.physical(), start, n, &ps.p, &mut ps.sel);
+        } else {
+            prof.record_prim(ps.p.sig(), t0, n, n * sc_p.physical_type().width());
         }
         prof.add_counter("pushdown_vectors", 1);
         prof.max_counter("compress_ratio", cc_p.ratio_pct());
@@ -672,8 +458,8 @@ impl ScanOp {
         reads.clear();
         for (k, &ci) in self.cols.iter().enumerate() {
             let sc = self.table.column(ci);
-            let cs = &mut self.comp[k];
-            if cs.is_some() {
+            let reader = &mut self.comp[k];
+            if reader.is_some() {
                 if let Some(fs) = self.ctx.fault_state() {
                     fs.check_site(x100_storage::FaultSite::CompressedRead, ci as u32)
                         .map_err(site_io)?;
@@ -682,90 +468,59 @@ impl ScanOp {
             match &mut self.modes[k] {
                 ColMode::Plain | ColMode::Codes => {
                     let mut v = self.pools[k].writable();
-                    let mut decoded = false;
-                    if !recovered {
-                        if let Some(cs) = cs {
-                            let healed_cc = cs.healed.clone();
-                            let cc: &x100_storage::CompressedColumn = match healed_cc.as_deref() {
-                                Some(h) => h,
-                                None => sc
-                                    .compressed()
-                                    .expect("CompState without compressed column"),
-                            };
-                            let t0 = prof.start();
-                            if cc.decode_sel_sig().is_some() {
-                                match cc.decode_positions(
-                                    start,
-                                    &ps.sel,
-                                    &mut v,
-                                    &mut ps.tmp,
-                                    &mut cs.cursor,
-                                ) {
-                                    Ok(st) => {
-                                        decoded = true;
-                                        let sig =
-                                            cc.decode_sel_sig().expect("checked decode_sel_sig");
-                                        prof.record_prim(
-                                            sig,
-                                            t0,
-                                            ps.sel.len(),
-                                            st.comp_len as usize + v.byte_size(),
-                                        );
-                                        reads.push((ci, st.comp_offset, st.comp_len));
-                                    }
-                                    Err(_) => {
-                                        if let Some(fs) = self.ctx.fault_state() {
-                                            fs.check_site(
-                                                x100_storage::FaultSite::ChunkRead,
-                                                ci as u32,
-                                            )
-                                            .map_err(|e| double_fault(ci as u32, e))?;
-                                        }
-                                        prof.add_counter("decode_recoveries", 1);
-                                        cs.cursor = DecodeCursor::default();
-                                    }
-                                }
-                            } else {
+                    let t0 = prof.start();
+                    let decoded = match (reader, sc.compressed()) {
+                        (Some(r), Some(cc)) if !recovered => match cc.decode_sel_sig() {
+                            Some(sig) => r
+                                .read(&self.table, &self.ctx, prof, |cc, s| {
+                                    cc.decode_positions(
+                                        start,
+                                        &ps.sel,
+                                        &mut v,
+                                        &mut s.pos,
+                                        &mut s.cursor,
+                                    )
+                                })?
+                                .map(|st| {
+                                    let bytes = st.comp_len as usize + v.byte_size();
+                                    prof.record_prim(sig, t0, ps.sel.len(), bytes);
+                                    (st.comp_offset, st.comp_len)
+                                }),
+                            None => {
                                 // PFOR-DELTA co-column: positional seek
                                 // from the nearest sync point.
                                 ps.abs.clear();
                                 ps.abs.extend(ps.sel.iter().map(|&p| start as u32 + p));
-                                match cc.gather(
-                                    &ps.abs,
-                                    &mut v,
-                                    &mut cs.scratch,
-                                    &mut ps.tmp,
-                                    &mut cs.cursor,
-                                ) {
-                                    Ok(()) => {
-                                        decoded = true;
-                                        prof.record_prim(cs.sig, t0, ps.sel.len(), v.byte_size());
-                                        reads.push((ci, 0, v.byte_size() as u64));
-                                    }
-                                    Err(_) => {
-                                        if let Some(fs) = self.ctx.fault_state() {
-                                            fs.check_site(
-                                                x100_storage::FaultSite::ChunkRead,
-                                                ci as u32,
-                                            )
-                                            .map_err(|e| double_fault(ci as u32, e))?;
-                                        }
-                                        prof.add_counter("decode_recoveries", 1);
-                                        cs.cursor = DecodeCursor::default();
-                                    }
-                                }
+                                r.read(&self.table, &self.ctx, prof, |cc, s| {
+                                    cc.gather(
+                                        &ps.abs,
+                                        &mut v,
+                                        &mut s.frames,
+                                        &mut s.pos,
+                                        &mut s.cursor,
+                                    )
+                                })?
+                                .map(|()| {
+                                    let sig = cc.decode_sig();
+                                    prof.record_prim(sig, t0, ps.sel.len(), v.byte_size());
+                                    (0, v.byte_size() as u64)
+                                })
                             }
+                        },
+                        _ => None,
+                    };
+                    match decoded {
+                        Some((offset, len)) => reads.push((ci, offset, len)),
+                        None => {
+                            // Raw fragment gather: only selected
+                            // positions are touched.
+                            gather_raw(sc.physical(), start, &ps.sel, &mut v);
+                            reads.push((
+                                ci,
+                                (start * sc.physical_type().width()) as u64,
+                                v.byte_size() as u64,
+                            ));
                         }
-                    }
-                    if !decoded {
-                        // Raw fragment gather: only selected positions
-                        // are touched (also the torn-chunk recovery).
-                        gather_raw(sc.physical(), start, &ps.sel, &mut v);
-                        reads.push((
-                            ci,
-                            (start * sc.physical_type().width()) as u64,
-                            v.byte_size() as u64,
-                        ));
                     }
                     self.pools[k].publish(v, &mut self.out);
                 }
@@ -800,17 +555,7 @@ impl ScanOp {
             }
         }
         prof.record_op("CompressedScanSelect", t_op, n);
-        if let Some(mem) = &mut self.mem {
-            let total: usize = self
-                .comp
-                .iter()
-                .flatten()
-                .map(|cs| cs.scratch.capacity() * std::mem::size_of::<u64>())
-                .sum::<usize>()
-                + (ps.sel.capacity() + ps.tmp.capacity() + ps.abs.capacity())
-                    * std::mem::size_of::<u32>();
-            mem.ensure(total)?;
-        }
+        self.charge_scratch((ps.sel.capacity() + ps.abs.capacity()) * std::mem::size_of::<u32>())?;
         for &(ci, offset, len) in &reads {
             self.bm_read(ci, offset, len)?;
         }
@@ -865,7 +610,6 @@ impl ScanOp {
     }
 }
 
-/// Decode enum codes through the dictionary into a logical vector.
 /// Typed I/O error for a storage-fault site that exhausted its retries.
 fn site_io(e: x100_storage::StorageFaultError) -> PlanError {
     PlanError::Io {
@@ -875,46 +619,7 @@ fn site_io(e: x100_storage::StorageFaultError) -> PlanError {
     }
 }
 
-/// Typed unrecoverable I/O error: a compressed chunk was torn *and* the
-/// raw-fragment fallback read faulted too — no intact copy remains, so
-/// recovery is impossible. (Durably checkpointed tables rarely get
-/// here: the heal ladder fetches a disk replica first.)
-fn double_fault(col: u32, e: x100_storage::StorageFaultError) -> PlanError {
-    PlanError::Io {
-        site: x100_storage::FaultSite::ChunkRead,
-        unrecoverable: true,
-        detail: format!(
-            "column {col}: torn compressed chunk and raw-fragment fallback both failed ({e})"
-        ),
-    }
-}
-
-/// First rung of the heal ladder (DESIGN.md §14): when a compressed
-/// chunk fails its checksum mid-query, fetch the column's verified
-/// copy from a durable-store replica. Returns `None` when the table
-/// has no durable checkpoint or every replica failed — the caller
-/// drops to the raw-fragment fallback (the PR 6 contract). Counts
-/// `chunk_heals` only when *this* query performed the heal; concurrent
-/// queries racing on the same damage share one heal via the source's
-/// cache.
-fn try_heal(
-    table: &Table,
-    ctx: &QueryContext,
-    prof: &mut Profiler,
-    ci: u32,
-) -> Option<Arc<x100_storage::CompressedColumn>> {
-    let ds = table.durable_source()?;
-    match ds.recover_column(ci, ctx.fault_state()) {
-        Ok((cc, healed_now)) => {
-            if healed_now {
-                prof.add_counter("chunk_heals", 1);
-            }
-            Some(cc)
-        }
-        Err(_) => None,
-    }
-}
-
+/// Decode enum codes through the dictionary into a logical vector.
 fn decode_codes(codes: &Vector, dict: &ColumnData, out: &mut Vector) {
     use x100_vector::fetch::{fetch_u16_codes, fetch_u8_codes};
     match (codes, dict, out) {
@@ -1057,54 +762,33 @@ impl Operator for ScanOp {
     fn next(&mut self, prof: &mut Profiler) -> Result<Option<&Batch>, PlanError> {
         // One governance checkpoint per produced vector.
         self.ctx.check()?;
-        if self.morsels.is_some() {
-            loop {
-                let m = match self.morsels.as_ref().and_then(|ms| ms.get(self.mcur)) {
-                    None => return Ok(None),
-                    Some(&m) => m,
-                };
-                if self.moff >= m.len {
-                    self.mcur += 1;
-                    self.moff = 0;
-                    continue;
-                }
-                let n = (m.len - self.moff).min(self.vector_size);
-                let start = m.start + self.moff;
-                self.moff += n;
-                if m.delta {
-                    self.emit_delta(start, n, prof)?;
-                } else {
-                    self.emit_fragment(start, n, prof)?;
-                }
-                return Ok(Some(&self.out));
+        loop {
+            let Some(&m) = self.morsels.get(self.mcur) else {
+                return Ok(None);
+            };
+            if self.moff >= m.len {
+                self.mcur += 1;
+                self.moff = 0;
+                continue;
             }
-        }
-        if self.pos < self.range.1 {
-            let n = (self.range.1 - self.pos).min(self.vector_size);
-            let start = self.pos;
-            self.pos += n;
-            self.emit_fragment(start, n, prof)?;
+            let n = (m.len - self.moff).min(self.vector_size);
+            let start = m.start + self.moff;
+            self.moff += n;
+            if m.delta {
+                self.emit_delta(start, n, prof)?;
+            } else {
+                self.emit_fragment(start, n, prof)?;
+            }
             return Ok(Some(&self.out));
         }
-        let delta = self.table.delta_rows();
-        if self.delta_pos < delta {
-            let n = (delta - self.delta_pos).min(self.vector_size);
-            let start = self.delta_pos;
-            self.delta_pos += n;
-            self.emit_delta(start, n, prof)?;
-            return Ok(Some(&self.out));
-        }
-        Ok(None)
     }
 
     fn reset(&mut self) {
-        self.pos = self.range.0;
-        self.delta_pos = 0;
         self.mcur = 0;
         self.moff = 0;
         // Drop sequential decode positions so a re-run starts clean.
-        for cs in self.comp.iter_mut().flatten() {
-            cs.cursor = DecodeCursor::default();
+        for r in self.comp.iter_mut().flatten() {
+            r.rewind();
         }
     }
 }

@@ -36,7 +36,7 @@ use crate::session::{Database, ExecOptions};
 use crate::PlanError;
 use std::collections::HashMap;
 use std::sync::Arc;
-use x100_storage::{EnumDict, Morsel, Table};
+use x100_storage::{plan_morsels, EnumDict, Morsel, Table};
 
 /// Pre-built shared join tables, keyed by the address of the
 /// `Plan::HashJoin` node they were built for. The parallel driver builds
@@ -225,25 +225,23 @@ impl Plan {
     /// Bind this plan against `db`, producing an executable pipeline
     /// with its own (unshared) governor context derived from `opts`.
     pub fn bind(&self, db: &Database, opts: &ExecOptions) -> Result<Box<dyn Operator>, PlanError> {
-        // Static verification first: ill-formed programs must never
-        // reach a kernel (see `crate::check`). The same walk runs the
-        // facts analyzer; its proofs flow to the binder via the context.
-        let summary = crate::check::check_plan(db, self, opts)?;
-        let ctx = opts.query_context();
-        ctx.provide_plan_facts(summary.facts);
+        let ctx = self.checked_context(db, opts)?;
         Ok(self.bind_inner(db, opts, None, None, &ctx)?.0)
     }
 
-    /// Bind against an externally owned governor context (the executor
-    /// shares one context between the pipeline and its morsel workers,
-    /// and publishes its counters after the run).
-    pub fn bind_governed(
+    /// Verify the plan statically (ill-formed programs must never reach
+    /// a kernel, see `crate::check`) and return a fresh governor context
+    /// carrying the facts analyzer's proofs, for the caller to bind
+    /// under.
+    pub(crate) fn checked_context(
         &self,
         db: &Database,
         opts: &ExecOptions,
-        ctx: &Arc<QueryContext>,
-    ) -> Result<Box<dyn Operator>, PlanError> {
-        Ok(self.bind_inner(db, opts, None, None, ctx)?.0)
+    ) -> Result<Arc<QueryContext>, PlanError> {
+        let summary = crate::check::check_plan(db, self, opts)?;
+        let ctx = opts.query_context();
+        ctx.provide_plan_facts(summary.facts);
+        Ok(ctx)
     }
 
     /// Bind with an optional morsel restriction on the leaf `Scan`
@@ -433,7 +431,16 @@ impl Plan {
                         "code fetch from `{table}` requires a reorganized table"
                     )));
                 }
-                let op = Fetch1JoinOp::new(child, t.clone(), rowid, fetch, fetch_codes, vs, comp)?;
+                let op = Fetch1JoinOp::new(
+                    child,
+                    t.clone(),
+                    rowid,
+                    fetch,
+                    fetch_codes,
+                    vs,
+                    comp,
+                    ctx.clone(),
+                )?;
                 dicts.extend(fetch.iter().map(|_| None));
                 dicts.extend(
                     fetch_codes
@@ -451,7 +458,7 @@ impl Plan {
             } => {
                 let (child, mut dicts) = input.bind_inner(db, opts, morsels, shared, ctx)?;
                 let t = db.table(table)?;
-                let op = FetchNJoinOp::new(child, t, lo, cnt, fetch, vs, comp)?;
+                let op = FetchNJoinOp::new(child, t, lo, cnt, fetch, vs, comp, ctx.clone())?;
                 dicts.extend(fetch.iter().map(|_| None));
                 Ok((Box::new(op), dicts))
             }
@@ -569,27 +576,25 @@ fn bind_scan(
     let (t, range) = scan_prune_range(db, table, prune)?;
     let col_refs: Vec<&str> = cols.iter().map(|s| s.as_str()).collect();
     let code_refs: Vec<&str> = code_cols.iter().map(|s| s.as_str()).collect();
-    let vs = opts.vector_size;
-    let op = match morsels {
-        None => ScanOp::new(
-            t.clone(),
-            &col_refs,
-            &code_refs,
-            range,
-            vs,
-            db.buffer_manager(),
-            ctx.clone(),
-        )?,
-        Some(ms) => ScanOp::with_morsels(
-            t.clone(),
-            &col_refs,
-            &code_refs,
-            ms.to_vec(),
-            vs,
-            db.buffer_manager(),
-            ctx.clone(),
-        )?,
+    // A full scan is one morsel for the (pruned) fragment range and one
+    // for the insert delta: the same vector boundaries as a worker's.
+    let morsels = match morsels {
+        Some(ms) => ms.to_vec(),
+        None => {
+            let frag = t.fragment_rows();
+            let (s, e) = range.unwrap_or((0, frag));
+            plan_morsels((s.min(frag), e.min(frag)), t.delta_rows(), 0)
+        }
     };
+    let op = ScanOp::new(
+        t.clone(),
+        &col_refs,
+        &code_refs,
+        morsels,
+        opts.vector_size,
+        db.buffer_manager(),
+        ctx.clone(),
+    )?;
     let dicts = cols
         .iter()
         .map(|c| {

@@ -364,13 +364,9 @@ pub fn execute(
     plan: &Plan,
     opts: &ExecOptions,
 ) -> Result<(QueryResult, Profiler), PlanError> {
-    // Static verification gate: every plan is checked against the
-    // primitive catalog before any operator is constructed. The same
-    // walk runs the facts analyzer; its proofs ride into the binder via
-    // the query context.
-    let summary = crate::check::check_plan(db, plan, opts)?;
-    let ctx = opts.query_context();
-    ctx.provide_plan_facts(summary.facts);
+    // One context for the pipeline and its morsel workers; its
+    // counters are published after the run.
+    let ctx = plan.checked_context(db, opts)?;
     if opts.threads > 1 {
         if let Some((result, mut prof)) =
             crate::ops::parallel::try_execute_parallel(db, plan, opts, &ctx)?
@@ -379,7 +375,7 @@ pub fn execute(
             return Ok((result, prof));
         }
     }
-    let mut op = plan.bind_governed(db, opts, &ctx)?;
+    let mut op = plan.bind_inner(db, opts, None, None, &ctx)?.0;
     let mut prof = Profiler::new(opts.profile);
     let result = run_operator(op.as_mut(), &mut prof)?;
     ctx.publish(&mut prof);

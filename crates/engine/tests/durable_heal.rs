@@ -10,7 +10,7 @@ use x100_engine::expr::*;
 use x100_engine::plan::Plan;
 use x100_engine::session::{execute, Database, ExecOptions};
 use x100_engine::DurableOptions;
-use x100_storage::{ColumnData, Table, TableBuilder};
+use x100_storage::{ChunkFormat, ColumnData, Table, TableBuilder};
 use x100_vector::{ScalarType, Value};
 
 const N: i64 = 20_000;
@@ -25,7 +25,11 @@ fn scratch(tag: &str) -> PathBuf {
 /// Same shape as the pushdown suite's fact table: a codec per column.
 fn fact_table() -> Table {
     TableBuilder::new("fact")
-        .column("id", ColumnData::I64((0..N).collect()))
+        // Sorted with uneven steps: PFOR-DELTA with a non-empty payload.
+        .column(
+            "id",
+            ColumnData::I64((0..N).map(|i| i * 8 + i % 7).collect()),
+        )
         .column(
             "k",
             ColumnData::I64((0..N).map(|i| (i * 7) % 1000).collect()),
@@ -41,6 +45,36 @@ fn fact_table() -> Table {
         .column(
             "qty",
             ColumnData::F64((0..N).map(|i| (i % 997) as f64 * 0.25).collect()),
+        )
+        // Enum with 2-byte codes that mostly fit one byte, so the code
+        // column PFOR-compresses (1-byte codes never do).
+        .auto_enum_i64(
+            "band",
+            (0..N)
+                .map(|i| {
+                    if i % 500 == 0 {
+                        1000 + i / 500
+                    } else {
+                        i % 250
+                    }
+                })
+                .collect(),
+        )
+        .column(
+            "fk",
+            ColumnData::U32((0..N).map(|i| (i * 7 % DIM) as u32).collect()),
+        )
+        .build()
+}
+
+const DIM: i64 = 1000;
+
+/// The fetch-join target: one compressed value column.
+fn dim_table() -> Table {
+    TableBuilder::new("dim")
+        .column(
+            "val",
+            ColumnData::I64((0..DIM).map(|i| i * 3 % 1009).collect()),
         )
         .build()
 }
@@ -177,4 +211,111 @@ fn mid_query_rot_without_durable_copy_falls_back_to_raw() {
     assert_eq!(got.row_strings(), want);
     assert!(prof.counter("decode_recoveries").unwrap_or(0) >= 1);
     assert_eq!(prof.counter("chunk_heals").unwrap_or(0), 0);
+}
+
+/// One compressed-read site of the recovery ladder, reached by `plan`
+/// when chunk 0 of `table`'s column `col` rots in memory.
+struct Site {
+    name: &'static str,
+    plan: Plan,
+    table: &'static str,
+    col: usize,
+}
+
+fn ladder_sites() -> Vec<Site> {
+    let pushed = || Plan::scan("fact", &["id", "k", "qty"]).select(lt(col("k"), lit_i64(500)));
+    vec![
+        Site {
+            name: "dense scan",
+            plan: Plan::scan("fact", &["id", "k", "qty"]),
+            table: "fact",
+            col: 1,
+        },
+        Site {
+            name: "enum-decoded scan column",
+            plan: Plan::scan("fact", &["id", "band"]),
+            table: "fact",
+            col: 4,
+        },
+        Site {
+            name: "pushdown predicate column",
+            plan: pushed(),
+            table: "fact",
+            col: 1,
+        },
+        Site {
+            name: "lazily decoded payload column",
+            plan: pushed(),
+            table: "fact",
+            col: 3,
+        },
+        Site {
+            name: "PFOR-DELTA co-column",
+            plan: pushed(),
+            table: "fact",
+            col: 0,
+        },
+        Site {
+            name: "Fetch1Join into a compressed dimension",
+            plan: Plan::scan("fact", &["id", "fk"]).fetch1("dim", col("fk"), &[("val", "val")]),
+            table: "dim",
+            col: 0,
+        },
+    ]
+}
+
+/// Both tables checkpointed (durably into `dir` when given), with
+/// chunk 0 of `rot`'s column rotted in memory only.
+fn site_db(rot: Option<(&str, usize)>, dir: Option<&std::path::Path>) -> Database {
+    let mut db = Database::new();
+    for mut t in [fact_table(), dim_table()] {
+        let verdicts = match dir {
+            Some(d) => t
+                .checkpoint_durable(&d.join(t.name()), &DurableOptions::default())
+                .expect("durable checkpoint"),
+            None => t.checkpoint(),
+        };
+        // Each site below relies on its column's codec.
+        for (name, fmt, _) in &verdicts {
+            let want = match name.as_str() {
+                "id" => ChunkFormat::PforDelta,
+                "tag" => ChunkFormat::Pdict,
+                _ => ChunkFormat::Pfor,
+            };
+            assert_eq!(*fmt, want, "{name}");
+        }
+        if let Some((name, col)) = rot {
+            if t.name() == name {
+                assert!(t.corrupt_compressed_payload(col, 0, 13), "{name}.{col}");
+            }
+        }
+        db.register(t);
+    }
+    db
+}
+
+#[test]
+fn every_compressed_read_site_heals_from_a_durable_replica() {
+    for site in ladder_sites() {
+        let (want, _) = execute(&site_db(None, None), &site.plan, &opts()).expect("clean");
+        let dir = scratch("site");
+        let db = site_db(Some((site.table, site.col)), Some(&dir));
+        let (got, prof) = execute(&db, &site.plan, &opts()).expect(site.name);
+        assert_eq!(got.row_strings(), want.row_strings(), "{}", site.name);
+        assert_eq!(prof.counter("chunk_heals"), Some(1), "{}", site.name);
+        assert_eq!(prof.counter("decode_recoveries"), None, "{}", site.name);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // Control: without a durable copy the same rot takes the raw
+        // fragment fallback.
+        let db = site_db(Some((site.table, site.col)), None);
+        let (got, prof) = execute(&db, &site.plan, &opts()).expect(site.name);
+        assert_eq!(got.row_strings(), want.row_strings(), "{}", site.name);
+        assert!(
+            prof.counter("decode_recoveries").unwrap_or(0) > 0,
+            "{}",
+            site.name
+        );
+        assert_eq!(prof.counter("chunk_heals"), None, "{}", site.name);
+    }
 }

@@ -426,6 +426,35 @@ mod star {
         assert_eq!(want.row_strings(), got.row_strings());
         assert!(prof.counter("decode_recoveries").unwrap_or(0) > 0);
     }
+
+    /// Torn dimension chunk whose raw-fragment fallback read faults too:
+    /// no intact copy is left, so the fetch join fails typed instead of
+    /// serving rows.
+    #[cfg(feature = "fault-inject")]
+    #[test]
+    fn torn_dimension_chunk_with_failed_fallback_is_a_typed_double_fault() {
+        use x100_engine::{FaultPlan, PlanError};
+        use x100_storage::{FaultSite, FaultState};
+        let plan = Plan::scan("facts", &["fk", "v"]).fetch1("dim", col("fk"), &[("val", "val")]);
+        let (mut f, mut d) = (facts(), dim());
+        f.checkpoint();
+        let fs = FaultState::new(FaultPlan::default().tear(0, 0, 7));
+        d.try_checkpoint(Some(&fs))
+            .expect("torn write appears to succeed");
+        assert_eq!(fs.injected(), 1);
+        let mut db = Database::new();
+        db.register(f);
+        db.register(d);
+        let opts = fused().with_fault_plan(FaultPlan::default().pin_site(FaultSite::ChunkRead, 0));
+        match execute(&db, &plan, &opts).map(|_| ()) {
+            Err(PlanError::Io {
+                site: FaultSite::ChunkRead,
+                unrecoverable: true,
+                ..
+            }) => {}
+            other => panic!("expected a typed double fault, got {other:?}"),
+        }
+    }
 }
 
 /// Torn-write fault mode end-to-end: a checkpoint whose compressed

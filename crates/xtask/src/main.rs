@@ -55,6 +55,13 @@
 //!    models a step a dying process can leave half-done on disk, so a
 //!    new durable write/read step cannot land without a kill-and-recover
 //!    (or replica-failover) test.
+//! 9. **Recovery-ladder locality** — the policy for which copy serves
+//!    a compressed read (in-memory chunks, durable-replica heal, raw
+//!    fragment, typed double fault) lives in one engine module,
+//!    `engine/src/ops/chunks.rs`. Elsewhere in `crates/engine/src`,
+//!    `recover_column(`, `double_fault(` and the `"decode_recoveries"` /
+//!    `"chunk_heals"` counters may not appear outside tests, so a read
+//!    site cannot grow its own, drifting copy of the ladder.
 //!
 //! Run as `cargo xtask lint` (alias in `.cargo/config.toml`).
 
@@ -177,6 +184,7 @@ fn lint() -> Vec<String> {
     fault_site_coverage(&root, &mut failures);
     fact_transfer_totality(&mut failures);
     durable_crash_coverage(&root, &mut failures);
+    recovery_ladder_locality(&root, &mut failures);
     failures
 }
 
@@ -688,6 +696,34 @@ fn durable_crash_coverage(root: &Path, failures: &mut Vec<String>) {
     }
 }
 
+/// Rule 9: every compressed read takes the one recovery ladder.
+fn recovery_ladder_locality(root: &Path, failures: &mut Vec<String>) {
+    const LADDER: &str = "crates/engine/src/ops/chunks.rs";
+    const NAMES: &[&str] = &[
+        "recover_column(",
+        "double_fault(",
+        "\"decode_recoveries\"",
+        "\"chunk_heals\"",
+    ];
+    let mut files = Vec::new();
+    rs_files(&root.join("crates/engine/src"), &mut files);
+    for path in &files {
+        let rel = path.strip_prefix(root).unwrap_or(path);
+        let rel_str = rel.to_string_lossy().replace('\\', "/");
+        if rel_str == LADDER {
+            continue;
+        }
+        for (ln, line) in &strip_tests(path).lines {
+            for name in NAMES.iter().filter(|n| line.contains(*n)) {
+                failures.push(format!(
+                    "recovery-ladder locality: {rel_str}:{ln} names `{name}` outside \
+                     {LADDER} (read compressed chunks through ChunkReader::read)"
+                ));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -716,5 +752,29 @@ mod tests {
         let text: String = f.lines.iter().map(|(_, l)| l.clone()).collect();
         assert!(text.contains("live"));
         assert!(!text.contains("unwrap"));
+    }
+
+    #[test]
+    fn ladder_names_outside_the_ladder_module_are_flagged() {
+        let root = std::env::temp_dir().join(format!("xtask-ladder-{}", std::process::id()));
+        let ops = root.join("crates/engine/src/ops");
+        std::fs::create_dir_all(&ops).expect("tmp dir");
+        let ladder = "fn heal() { ds.recover_column(c, f); add(\"chunk_heals\"); }\n";
+        std::fs::write(ops.join("chunks.rs"), ladder).expect("write ladder");
+        std::fs::write(
+            ops.join("scan.rs"),
+            "fn refill() {\n    prof.add_counter(\"decode_recoveries\", 1);\n}\n\
+             #[cfg(test)]\nmod tests {\n    fn t() { double_fault(0, e); }\n}\n",
+        )
+        .expect("write scan");
+        let mut failures = Vec::new();
+        recovery_ladder_locality(&root, &mut failures);
+        let _ = std::fs::remove_dir_all(&root);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(
+            failures[0].contains("crates/engine/src/ops/scan.rs:2")
+                && failures[0].contains("decode_recoveries"),
+            "{failures:?}"
+        );
     }
 }
